@@ -41,12 +41,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## fuzz-smoke: short fuzz runs of the geometry differential targets,
-## mirroring the CI smoke (corpora live in internal/geom/testdata/fuzz).
+## mirroring the CI smoke (corpora live in internal/geom/testdata/fuzz
+## and internal/exact/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzVisibleAgainstNaive$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentCross$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSnapshotUpdate$$' -fuzztime 15s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 15s
+	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzOrientFilter$$' -fuzztime 15s
 
 ## scenarios: the robustness matrix at CI scale — every stressor of the
 ## scenario suite against the paper's claims, 1 seed, engine-vs-auditor

@@ -11,48 +11,33 @@ import (
 // visible, but a halted robot's frozen body still blocks lines of
 // sight and still must not be colocated with a survivor.
 //
-// Like CompleteVisibilityHybrid, it runs the float angular filter to
-// propose candidate collinear triples and confirms each over big.Rat.
-// The subtlety relative to the full predicate: a confirmed collinear
-// triple refutes subset-CV only when its two endpoints are both
-// selected and its blocker lies strictly between them — an unselected
-// endpoint's blocked sightline is irrelevant. The filter emits every
-// exactly-collinear triple once per point playing the blocker role, so
-// filtering candidates to selected endpoint pairs loses nothing.
+// Like CompleteVisibilityHybrid, it sorts the points to decide
+// coincidence exactly, then runs the float angular scan for candidate
+// collinear triples; the certified float orientation filter discards
+// the provably non-collinear ones, and only the uncertain rest are
+// converted to big.Rat and confirmed. The subtlety relative to the full
+// predicate: a confirmed collinear triple refutes subset-CV only when
+// its two endpoints are both selected and its blocker lies strictly
+// between them — an unselected endpoint's blocked sightline is
+// irrelevant. The scan emits every exactly-collinear triple once per
+// point playing the blocker role, so filtering candidates to selected
+// endpoint pairs loses nothing.
 //
 // selected must have the same length as pts; a nil mask means all
-// selected, reducing to CompleteVisibilityHybrid's verdict.
+// selected, reducing to CompleteVisibilityHybrid's verdict. It panics on
+// NaN/Inf coordinates, like FromFloat.
 func CompleteVisibilityAmong(pts []geom.Point, selected []bool) bool {
 	if selected == nil {
 		return CompleteVisibilityHybrid(pts)
 	}
-	eps := FromFloats(pts)
-	// Exact distinctness of every selected point against all points: a
-	// survivor sharing a position with anything (alive or crashed) is a
-	// collision, not a visibility question.
-	for i := 0; i < len(eps); i++ {
-		if !selected[i] {
-			continue
-		}
-		for j := 0; j < len(eps); j++ {
-			if j != i && eps[i].Eq(eps[j]) {
-				return false
-			}
-		}
+	requireFinite(pts)
+	// A survivor sharing a position with anything (alive or crashed) is
+	// a collision, not a visibility question.
+	if coincident(pts, selected) {
+		return false
 	}
-	for _, t := range geom.CollinearCandidates(pts, candidateTol) {
-		if t.A == t.Blocker || t.B == t.Blocker {
-			continue
-		}
-		if !selected[t.A] || !selected[t.B] {
-			continue
-		}
-		// Collinearity alone is not enough here: with unselected points
-		// in play the blocker must lie strictly between the selected
-		// endpoints, not merely on their line.
-		if StrictlyBetween(eps[t.A], eps[t.B], eps[t.Blocker]) {
-			return false
-		}
-	}
-	return true
+	// Collinearity alone is not enough here: with unselected points in
+	// play the blocker must lie strictly between the selected
+	// endpoints, not merely on their line.
+	return !anyCandidateConfirmed(pts, selected, StrictlyBetween)
 }

@@ -106,4 +106,26 @@ func TestCompleteVisibilityAmongDifferential(t *testing.T) {
 				trial, pts, selected, got, want)
 		}
 	}
+	// Cocircular sets, exact chord triples and signed-zero duplicates,
+	// under the full mask, a random three-quarter mask and a mask that
+	// leaves out the last point (the planted midpoint or duplicate).
+	for _, c := range degenerateConfigs() {
+		n := len(c.pts)
+		masks := [][]bool{make([]bool, n), make([]bool, n), make([]bool, n)}
+		for i := 0; i < n; i++ {
+			masks[0][i] = true
+			masks[1][i] = rng.Intn(4) != 0
+			masks[2][i] = i < n-1
+		}
+		for k, selected := range masks {
+			got := CompleteVisibilityAmong(c.pts, selected)
+			want := bruteAmong(c.pts, selected)
+			if got != want {
+				t.Fatalf("%s, mask %d: filtered=%v brute=%v", c.name, k, got, want)
+			}
+			if k == 0 && c.blocked && want {
+				t.Fatalf("%s: oracle reports CV for a configuration built to fail it", c.name)
+			}
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -135,6 +137,79 @@ func TestHybridAgreesWithExact(t *testing.T) {
 			t.Fatalf("trial %d: full=%v hybrid=%v for %v", trial, full, hybrid, pts)
 		}
 	}
+	for _, c := range degenerateConfigs() {
+		full := CompleteVisibility(FromFloats(c.pts))
+		if c.blocked && full {
+			t.Fatalf("%s: oracle reports CV for a configuration built to fail it", c.name)
+		}
+		if hybrid := CompleteVisibilityHybrid(c.pts); hybrid != full {
+			t.Fatalf("%s: full=%v hybrid=%v for %v", c.name, full, hybrid, c.pts)
+		}
+	}
+}
+
+// degenerateConfig is a configuration where the float candidate scan
+// proposes many triples (points on a circle) or where exactness is the
+// whole question (an exactly collinear chord triple, signed zeros).
+type degenerateConfig struct {
+	name    string
+	pts     []geom.Point
+	blocked bool // built to fail CV: a collinear triple or a duplicate
+}
+
+// cocircular returns n points on the circle of radius r around c at
+// random angles. No three points of a circle are collinear, but after
+// rounding the float angular scan proposes candidates among them.
+func cocircular(rng *rand.Rand, n int, c geom.Point, r float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		th := rng.Float64() * 2 * math.Pi
+		pts[i] = geom.Pt(c.X+r*math.Cos(th), c.Y+r*math.Sin(th))
+	}
+	return pts
+}
+
+// withChordTriple rounds two points of pts to a dyadic grid and appends
+// their midpoint, which is then exact: a point exactly on the chord.
+// With offULP the midpoint is nudged one ulp off the chord instead.
+func withChordTriple(rng *rand.Rand, pts []geom.Point, offULP bool) []geom.Point {
+	q := func(v float64) float64 { return math.Round(v*0x1p20) / 0x1p20 }
+	i := rng.Intn(len(pts))
+	j := (i + 1 + rng.Intn(len(pts)-1)) % len(pts)
+	pts[i] = geom.Pt(q(pts[i].X), q(pts[i].Y))
+	pts[j] = geom.Pt(q(pts[j].X), q(pts[j].Y))
+	m := geom.Pt((pts[i].X+pts[j].X)/2, (pts[i].Y+pts[j].Y)/2)
+	if offULP {
+		m.Y = math.Nextafter(m.Y, math.Inf(1))
+	}
+	return append(pts, m)
+}
+
+// degenerateConfigs is the shared differential corpus of the filtered
+// predicates: cocircular sets (n ≤ 64, so the O(n³) oracles stay
+// cheap), the same with a chord triple injected exactly or one ulp off,
+// and a −0/+0 duplicate.
+func degenerateConfigs() []degenerateConfig {
+	rng := rand.New(rand.NewSource(1497))
+	var out []degenerateConfig
+	for _, n := range []int{8, 16, 32, 48} {
+		c, r := geom.Pt(100.25, -3.5), 37.0
+		out = append(out,
+			degenerateConfig{name: fmt.Sprintf("cocircular n=%d", n), pts: cocircular(rng, n, c, r)},
+			degenerateConfig{name: fmt.Sprintf("cocircular n=%d + chord triple", n),
+				pts: withChordTriple(rng, cocircular(rng, n-1, c, r), false), blocked: true},
+			degenerateConfig{name: fmt.Sprintf("cocircular n=%d + chord triple one ulp off", n),
+				pts: withChordTriple(rng, cocircular(rng, n-1, c, r), true)},
+		)
+	}
+	negZero := math.Copysign(0, -1)
+	out = append(out,
+		degenerateConfig{name: "-0/+0 duplicate",
+			pts: []geom.Point{geom.Pt(negZero, 5), geom.Pt(3, 4), geom.Pt(0, 5), geom.Pt(-4, -3)}, blocked: true},
+		degenerateConfig{name: "cocircular + -0/+0 duplicate",
+			pts: append(cocircular(rng, 30, geom.Pt(0, 0), 5), geom.Pt(0, negZero), geom.Pt(negZero, 0)), blocked: true},
+	)
+	return out
 }
 
 // The float predicate band: exact arithmetic distinguishes points the

@@ -12,35 +12,31 @@ import (
 const candidateTol = 1e-5
 
 // CompleteVisibilityHybrid decides Complete Visibility for float points
-// with exact arithmetic at O(n² log n) expected cost: a float angular
-// filter proposes candidate collinear triples, each of which is confirmed
-// or refuted over big.Rat. Distinctness is checked exactly as well. The
-// full O(n³) exact predicate (CompleteVisibility) is cross-validated
-// against this in tests.
+// exactly, at O(n² log n) expected cost:
+//
+//   - distinctness: the points are sorted by coordinates and adjacent
+//     ones compared (float equality is rational equality, because
+//     conversion to big.Rat is lossless);
+//   - collinearity: a float angular scan proposes candidate collinear
+//     triples, a superset of the exactly collinear ones (candidateTol).
+//     A certified float orientation filter (orientFilter, Shewchuk's
+//     orient2d stage A) proves most candidates non-collinear outright;
+//     only the ones it cannot certify are converted to big.Rat and
+//     confirmed or refuted with Collinear.
+//
+// The verdict is therefore exact: the filter only certifies a nonzero
+// sign when the float error bound proves it equals the rational sign,
+// and every other candidate is decided over big.Rat. The full O(n³)
+// exact predicate (CompleteVisibility) is cross-validated against this
+// in tests. It panics on NaN/Inf coordinates, like FromFloat.
 func CompleteVisibilityHybrid(pts []geom.Point) bool {
-	eps := FromFloats(pts)
-	// Exact distinctness.
-	for i := 0; i < len(eps); i++ {
-		for j := i + 1; j < len(eps); j++ {
-			if eps[i].Eq(eps[j]) {
-				return false
-			}
-		}
+	requireFinite(pts)
+	if coincident(pts, nil) {
+		return false
 	}
-	// Candidate collinear triples from the float filter, confirmed
-	// exactly. Any confirmed collinear triple of distinct points has one
-	// point strictly between the others, hence a blocked pair.
-	for _, t := range geom.CollinearCandidates(pts, candidateTol) {
-		if t.A == t.Blocker || t.B == t.Blocker {
-			// Degenerate duplicate marker from the filter; distinctness
-			// above already handled true duplicates.
-			continue
-		}
-		if Collinear(eps[t.A], eps[t.B], eps[t.Blocker]) {
-			return false
-		}
-	}
-	return true
+	// Any confirmed collinear triple of distinct points has one point
+	// strictly between the others, hence a blocked pair.
+	return !anyCandidateConfirmed(pts, nil, Collinear)
 }
 
 // BlockedPairExact reports whether the specific pair (i, j) is blocked,

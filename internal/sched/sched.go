@@ -340,9 +340,17 @@ func (a *AsyncStale) Next(st []Status, _ int, rng *rand.Rand) int {
 		a.order = rng.Perm(len(st))
 	}
 	// Phase 1 of a wave: everyone Looks, then everyone Computes, so all
-	// decisions are frozen against the same pre-wave world.
+	// decisions are frozen against the same pre-wave world. An Idle robot
+	// that has completed more cycles than the slowest one must wait for
+	// the wave to finish.
+	minCycles := st[0].Cycles
+	for _, t := range st[1:] {
+		if t.Cycles < minCycles {
+			minCycles = t.Cycles
+		}
+	}
 	for i, t := range st {
-		if t.Stage == Idle && !a.behind(st, i) {
+		if t.Stage == Idle && t.Cycles <= minCycles {
 			return i
 		}
 	}
@@ -365,18 +373,6 @@ func (a *AsyncStale) Next(st []Status, _ int, rng *rand.Rand) int {
 		}
 	}
 	return 0 // unreachable: some robot always has an available event
-}
-
-// behind reports whether robot i has completed more cycles than the
-// slowest robot (it must wait for the wave to finish).
-func (a *AsyncStale) behind(st []Status, i int) bool {
-	min := st[0].Cycles
-	for _, t := range st[1:] {
-		if t.Cycles < min {
-			min = t.Cycles
-		}
-	}
-	return st[i].Cycles > min
 }
 
 // MoveSteps implements Scheduler.

@@ -335,6 +335,107 @@ func TestAsyncStaleWaves(t *testing.T) {
 	}
 }
 
+// refAsyncStale is the original AsyncStale policy, which rescans the
+// status vector for the minimum cycle count once per Idle robot (O(n²)
+// per Next). It pins the decisions of the O(n) implementation.
+type refAsyncStale struct{ order []int }
+
+func (a *refAsyncStale) Next(st []Status, _ int, rng *rand.Rand) int {
+	allIdle := true
+	for _, t := range st {
+		if t.Stage != Idle {
+			allIdle = false
+			break
+		}
+	}
+	if allIdle || a.order == nil || len(a.order) != len(st) {
+		a.order = rng.Perm(len(st))
+	}
+	for i, t := range st {
+		if t.Stage == Idle && !refBehind(st, i) {
+			return i
+		}
+	}
+	for i, t := range st {
+		if t.Stage == Looked {
+			return i
+		}
+	}
+	for _, i := range a.order {
+		if st[i].Stage == Moving {
+			return i
+		}
+	}
+	for _, i := range a.order {
+		if st[i].Stage == Computed {
+			return i
+		}
+	}
+	return 0
+}
+
+func refBehind(st []Status, i int) bool {
+	min := st[0].Cycles
+	for _, t := range st[1:] {
+		if t.Cycles < min {
+			min = t.Cycles
+		}
+	}
+	return st[i].Cycles > min
+}
+
+// TestAsyncStaleMatchesReference drives AsyncStale and the reference
+// policy over the same status vectors from equal RNG seeds: engine-like
+// stretches interleaved with fully randomized vectors (arbitrary stages
+// and cycle counts, including sizes that change between calls). Every
+// returned index and the RNG state after every call must agree.
+func TestAsyncStaleMatchesReference(t *testing.T) {
+	const steps = 20000
+	gen := rand.New(rand.NewSource(14))
+	s := NewAsyncStale()
+	ref := &refAsyncStale{}
+	rngS := rand.New(rand.NewSource(99))
+	rngR := rand.New(rand.NewSource(99))
+	fe := newFakeEngine(8)
+	s.Reset(len(fe.st))
+	for step := 0; step < steps; step++ {
+		if gen.Intn(16) == 0 {
+			n := 1 + gen.Intn(24)
+			fe = newFakeEngine(n)
+			base := gen.Intn(5)
+			for i := range fe.st {
+				fe.st[i].Stage = Stage(gen.Intn(4))
+				fe.st[i].Cycles = base + gen.Intn(3)
+				if fe.st[i].Stage == Moving || fe.st[i].Stage == Computed {
+					fe.st[i].StepsLeft = 1 + gen.Intn(s.SubSteps)
+				}
+			}
+		}
+		want := ref.Next(fe.st, fe.now, rngR)
+		if got := fe.advance(s, rngS); got != want {
+			t.Fatalf("step %d: Next = %d, reference = %d", step, got, want)
+		}
+		if a, b := rngS.Int63(), rngR.Int63(); a != b {
+			t.Fatalf("step %d: RNG streams diverged (%d vs %d)", step, a, b)
+		}
+	}
+}
+
+// BenchmarkAsyncStaleNext measures one scheduling decision of the
+// staleness adversary over a 512-robot swarm driven through its waves.
+func BenchmarkAsyncStaleNext(b *testing.B) {
+	const n = 512
+	fe := newFakeEngine(n)
+	s := NewAsyncStale()
+	s.Reset(n)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe.advance(s, rng)
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range Names() {
 		s := ByName(name)

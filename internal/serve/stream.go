@@ -459,8 +459,10 @@ func (s *Server) streamTo(w http.ResponseWriter, r *http.Request, src stream.Sou
 
 // handleRunStream serves GET /v1/runs/{id}/stream: live fan-out while
 // the run executes, replay from the hub's retained history once it has
-// finished. Live streams default to unpaced (the run itself is the
-// clock); finished-run replays default to 1x synthetic pace.
+// finished. Both are unpaced by default — a live stream is clocked by
+// the run itself, and a finished run streams as fast as the client
+// reads, so a GET that lands just after a small run ends is not slowed
+// to the 1x replay pace. ?speed= opts into synthetic pacing.
 func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	sr, ok := s.streams.get(r.PathValue("id"))
 	if !ok {
@@ -472,16 +474,9 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	speed := 0.0
-	if sr.hub.Done() {
-		speed = 1.0
-	}
-	if p.speedSet {
-		speed = p.speed
-	}
 	sub := sr.hub.Subscribe(p.after)
 	defer sub.Close()
-	s.streamTo(w, r, sub, stream.ReplayOptions{Speed: speed, FromEpoch: p.fromEpoch}, sub.Gap(), sr.hub.EndNote)
+	s.streamTo(w, r, sub, stream.ReplayOptions{Speed: p.speed, FromEpoch: p.fromEpoch}, sub.Gap(), sr.hub.EndNote)
 }
 
 // traceName accepts plain file names only — path separators and dot

@@ -22,6 +22,7 @@ import (
 	"luxvis/internal/sched"
 	"luxvis/internal/serve"
 	"luxvis/internal/sim"
+	"luxvis/internal/stream"
 	"luxvis/internal/trace"
 )
 
@@ -129,6 +130,53 @@ func TestStreamRunNDJSON(t *testing.T) {
 	}
 	if events != st.Summary.Events {
 		t.Fatalf("stream carried %d events, run recorded %d", events, st.Summary.Events)
+	}
+}
+
+// TestStreamFinishedRunUnpaced: a run that has already finished streams
+// at full speed when the GET carries no ?speed=, exactly like a live
+// stream — at the 1x replay pace this run would take seconds.
+func TestStreamFinishedRunUnpaced(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 2})
+	id := startStreamRun(t, ts.URL, `{"n": 24, "seed": 3}`)
+	st := waitRunDone(t, ts.URL, id)
+	if st.Summary == nil {
+		t.Fatal("done run has no summary")
+	}
+	if paced := float64(st.Summary.Events) / stream.DefaultReplayEventsPerSec; paced < 2 {
+		t.Fatalf("run has %d events (%.1fs at 1x): too few to tell paced from unpaced", st.Summary.Events, paced)
+	}
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/stream")
+	if err != nil {
+		t.Fatalf("GET stream: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading stream: %v", err)
+	}
+	elapsed := time.Since(start)
+
+	dec, err := trace.NewDecoder(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("stream does not decode as a trace: %v", err)
+	}
+	events := 0
+	for {
+		if _, err := dec.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decoding stream event %d: %v", events, err)
+		}
+		events++
+	}
+	if events != st.Summary.Events {
+		t.Fatalf("stream carried %d events, run recorded %d", events, st.Summary.Events)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("finished-run stream of %d events took %v without ?speed=, want unpaced", events, elapsed)
 	}
 }
 
