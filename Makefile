@@ -31,9 +31,13 @@ vet:
 
 ## race: the concurrent runtime (one goroutine per robot), the engine,
 ## the HTTP service, the observability layer, the stream hub and the
-## parallel visibility kernel under the race detector.
+## parallel visibility kernel under the race detector. The engine and
+## obs packages run at -cpu 1,4: one proc computes inline; with four,
+## the sim tests (which lower the 96-robot pipelining floor to 1)
+## pipeline Compute on the engine's worker pool.
 race:
-	$(GO) test -race ./internal/rt/... ./internal/sim/... ./internal/serve/... ./internal/obs/... ./internal/stream/... ./internal/geom/...
+	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/...
+	$(GO) test -race -cpu 1,4 ./internal/sim/... ./internal/obs/...
 
 ## bench-smoke: every benchmark compiles and completes one iteration
 ## (catches drift between the experiment harness and bench_test.go).

@@ -178,7 +178,9 @@ func BenchmarkEngineRun(b *testing.B) {
 // observer attached: the difference between the two is the whole cost of
 // the observation layer when someone listens but does nothing. Compare
 // against BenchmarkEngineRun (nil Observer) to verify the disabled path
-// stays free.
+// stays free. Both runs have 64 robots, below the engine's
+// Compute-pipelining floor, so both compute inline on any host and the
+// gap is observation alone.
 func BenchmarkEngineRunNoopObserver(b *testing.B) {
 	pts := luxvis.Generate(luxvis.Uniform, 64, 1)
 	noop := &luxvis.ObserverFuncs{}

@@ -53,6 +53,7 @@ func (a *LogVis) Explain(s model.Snapshot) string {
 	fmt.Fprintf(&b, "interior: %d candidate slots\n", len(slots))
 	others := s.OtherPoints()
 	baseMargin := s.NearestDist() * a.corridorFrac()
+	diam := a.landingDiam(s)
 	for i, sl := range slots {
 		if i >= 8 {
 			b.WriteString("  ... (truncated)\n")
@@ -67,7 +68,7 @@ func (a *LogVis) Explain(s model.Snapshot) string {
 		default:
 			if a.slotBusy(s, sl) {
 				reason = "transit guard (lander inbound)"
-			} else if target, ok := a.landingPoint(s, sl); !ok {
+			} else if target, ok := a.landingPoint(s, sl, diam); !ok {
 				reason = "degenerate interval"
 			} else {
 				if d := self.Dist(target); d > 4*chord {

@@ -257,6 +257,7 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 	// Compute at O(V log V).
 	others := s.OtherPoints()
 	baseMargin := s.NearestDist() * a.corridorFrac()
+	diam := a.landingDiam(s)
 	// Two passes. First, local landings: slots whose perpendicular slab
 	// (with slack) contains the robot and that are at most a few chord
 	// lengths away. Local approach paths are short and near-
@@ -307,7 +308,7 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 			// from serializing — only the final landing hop claims the
 			// interval (contest + Transit guard).
 			hop := math.Max(2*chord, 8*s.NearestDist())
-			rawTarget, ok := a.landingPoint(s, sl)
+			rawTarget, ok := a.landingPoint(s, sl, diam)
 			if !ok {
 				continue
 			}
@@ -625,8 +626,8 @@ func landingSagitta(chord, diam float64) float64 {
 // robot positions map to distinct landing points (a hard clamp would
 // collapse everything below the margin onto one exact point — that
 // colocation was observed under the randomized ASYNC scheduler before
-// the squash).
-func (a *LogVis) landingPoint(s model.Snapshot, sl slot) (geom.Point, bool) {
+// the squash). diam is the snapshot's landingDiam.
+func (a *LogVis) landingPoint(s model.Snapshot, sl slot, diam float64) (geom.Point, bool) {
 	self := s.Self.Pos
 	_, t := geom.ProjectOntoLine(sl.u, sl.v, self)
 	// Feet inside the margins are kept exact, so robots above the
@@ -656,11 +657,6 @@ func (a *LogVis) landingPoint(s model.Snapshot, sl slot) (geom.Point, bool) {
 	}
 	// Land on the outward arc over the chord (u, v): bulge away from
 	// the robot's own (interior) side.
-	min, max := geom.BoundingBox(s.Points())
-	diam := max.Sub(min).Norm()
-	if a.AblateConstantSagitta {
-		diam = 0 // disables the quadratic law; the cap fraction applies
-	}
 	h := landingSagitta(chord, diam)
 	if h <= 0 || math.IsInf(h, 0) || math.IsNaN(h) {
 		// Degenerate scales (the quadratic law underflowed against an
@@ -673,6 +669,18 @@ func (a *LogVis) landingPoint(s model.Snapshot, sl slot) (geom.Point, bool) {
 	}
 	arc := geom.ArcThrough(sl.u, sl.v, h)
 	return arc.At(t), true
+}
+
+// landingDiam returns the visible diameter the landing sagitta scales
+// against, or 0 under AblateConstantSagitta (which disables the
+// quadratic law, so the cap fraction applies). It depends only on the
+// snapshot, so a Compute takes it once for every slot it tries.
+func (a *LogVis) landingDiam(s model.Snapshot) float64 {
+	if a.AblateConstantSagitta {
+		return 0
+	}
+	min, max := geom.BoundingBox(s.Points())
+	return max.Sub(min).Norm()
 }
 
 // slotBusy applies the Transit guard: an interval with a visible

@@ -27,6 +27,12 @@ func landingSnap(p geom.Point) model.Snapshot {
 	}
 }
 
+// landAt is landingPoint for the interior robot of landingSnap(p).
+func landAt(a *LogVis, p geom.Point, sl slot) (geom.Point, bool) {
+	s := landingSnap(p)
+	return a.landingPoint(s, sl, a.landingDiam(s))
+}
+
 func TestLandingPointMonotoneInFoot(t *testing.T) {
 	a := NewLogVis()
 	sl := slot{u: geom.Pt(0, 0), v: geom.Pt(100, 0)}
@@ -49,8 +55,8 @@ func TestLandingPointMonotoneInFoot(t *testing.T) {
 			return true
 		}
 		y := 1 + mod(yFrac, 30)
-		p1, ok1 := a.landingPoint(landingSnap(geom.Pt(x1, y)), sl)
-		p2, ok2 := a.landingPoint(landingSnap(geom.Pt(x2, y)), sl)
+		p1, ok1 := landAt(a, geom.Pt(x1, y), sl)
+		p2, ok2 := landAt(a, geom.Pt(x2, y), sl)
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -79,7 +85,7 @@ func TestLandingPointOutsideChord(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
 		p := geom.Pt(5+rng.Float64()*90, 1+rng.Float64()*60)
-		target, ok := a.landingPoint(landingSnap(p), sl)
+		target, ok := landAt(a, p, sl)
 		if !ok {
 			t.Fatal("landingPoint failed")
 		}

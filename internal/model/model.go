@@ -180,7 +180,10 @@ func (a Action) IsStay(at geom.Point) bool { return a.Target.Eq(at) }
 // Algorithm is a distributed robot algorithm: a pure, deterministic
 // function from snapshots to actions. Implementations must not retain
 // per-robot state across calls — robots are oblivious, and the engine
-// may invoke Compute for different robots in any order.
+// may invoke Compute for different robots in any order, concurrently
+// from several goroutines, and before the robot's Compute event (any
+// time after the Look that took the snapshot). A Compute must therefore
+// be safe to call concurrently and depend on nothing but its snapshot.
 type Algorithm interface {
 	// Name identifies the algorithm in traces and experiment tables.
 	Name() string

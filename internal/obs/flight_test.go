@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"luxvis/internal/geom"
@@ -17,31 +18,44 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite the golden flight dump from the current engine output")
 
-// rogueAlgo behaves (stays, light Off) for its first trigger computes,
-// then lights an undeclared color forever — a deterministic palette
-// violation partway into a run, with enough preceding events to wrap a
-// small flight ring.
+// rogueAlgo behaves (stays, light Off) for each robot's first trigger
+// computes, then lights an undeclared color forever — a deterministic
+// palette violation partway into a run, with enough preceding events to
+// wrap a small flight ring. Robots never move, so the count is keyed by
+// position; a robot's computes are serialized by its own LCM cycle, so
+// the trigger does not depend on the order in which the engine runs
+// different robots' computes (they may run concurrently, ahead of their
+// Compute events).
 type rogueAlgo struct {
-	calls   int
 	trigger int
+
+	mu    sync.Mutex
+	calls map[geom.Point]int
 }
 
 func (a *rogueAlgo) Name() string           { return "rogue" }
 func (a *rogueAlgo) Palette() []model.Color { return []model.Color{model.Off} }
 func (a *rogueAlgo) Compute(s model.Snapshot) model.Action {
-	a.calls++
-	if a.calls > a.trigger {
+	a.mu.Lock()
+	if a.calls == nil {
+		a.calls = make(map[geom.Point]int)
+	}
+	a.calls[s.Self.Pos]++
+	calls := a.calls[s.Self.Pos]
+	a.mu.Unlock()
+	if calls > a.trigger {
 		return model.Stay(s.Self.Pos, model.Beacon)
 	}
 	return model.Stay(s.Self.Pos, model.Off)
 }
 
 // rogueRun executes the canonical flight-test scenario: four collinear
-// robots (never CV, so only MaxEpochs ends the run) under FSYNC.
+// robots (never CV, so only MaxEpochs ends the run) under FSYNC, going
+// rogue in the fourth round.
 func rogueRun(t *testing.T, opt sim.Options) sim.Result {
 	t.Helper()
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0), geom.Pt(15, 0)}
-	res, err := sim.Run(&rogueAlgo{trigger: 12}, pts, opt)
+	res, err := sim.Run(&rogueAlgo{trigger: 3}, pts, opt)
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

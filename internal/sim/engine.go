@@ -69,9 +69,14 @@ type Options struct {
 	SampleEpochs bool
 	// Observer, when non-nil, receives engine callbacks while the run
 	// executes (see the Observer interface). A nil Observer is the
-	// benchmark path: disabled observation costs one branch per event.
-	// With an Observer attached, epoch-boundary samples are computed
-	// even when SampleEpochs is false (they feed EpochEnd).
+	// benchmark path: disabled observation costs one branch per event,
+	// and a run of at least 96 robots with two procs (GOMAXPROCS) to
+	// itself starts each robot's Compute at its Look on a per-run worker
+	// pool (see pipeline.go). With an Observer attached, Computes run
+	// inline at their Compute events, so for such runs the gap between
+	// a nil and a no-op Observer includes the pipelining gain, and
+	// epoch-boundary samples are computed even when SampleEpochs is
+	// false (they feed EpochEnd).
 	Observer Observer
 }
 
@@ -347,6 +352,9 @@ type engine struct {
 	// SensorJitter > 0); kept apart from rng so jitter draws never shift
 	// the scheduler interleaving.
 	jrng *rand.Rand
+	// pool runs Computes off the event loop, started at Look and joined
+	// at the Compute event (see pipeline.go); nil computes inline.
+	pool *computePool
 }
 
 // Run executes algo from the start configuration under opt and returns
@@ -461,6 +469,21 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 		e.idx = grid.NewFor(e.pos)
 	}
 
+	inFlight := runsInFlight.Add(1)
+	defer runsInFlight.Add(-1)
+	// Observed runs compute inline. The Observer itself never calls
+	// Compute; the condition exists for perfbench's traced run, whose
+	// timing decorator around the algorithm shares a cursor with its
+	// Observer and is not safe to call concurrently. perfbench is
+	// frozen while performance claims are measured against it, so the
+	// condition stays until that tracer is made concurrency-safe
+	// (ROADMAP item 1).
+	if e.obs == nil {
+		e.pool = newComputePool(algo, n, inFlight)
+	}
+	if e.pool != nil {
+		defer e.pool.close()
+	}
 	if e.obs != nil {
 		e.obs.RunStart(RunInfo{Algorithm: e.res.Algorithm, Scheduler: e.res.Scheduler, N: n, Seed: opt.Seed})
 	}
@@ -547,15 +570,24 @@ func (e *engine) doLook(r int) {
 		Self:   model.RobotView{Pos: e.pos[r], Color: e.col[r]},
 		Others: others,
 	}
+	if e.pool != nil {
+		e.pool.submit(r, e.snap[r])
+	}
 	e.st[r].Stage = sched.Looked
 	e.snapLook[r] = e.now
 	e.trace(r, "look")
 }
 
-// doCompute runs the algorithm on robot r's held snapshot, publishes the
-// light, and either completes the cycle (stay) or arms a move.
+// doCompute runs the algorithm on robot r's held snapshot (or joins the
+// pipelined Compute started at its Look), publishes the light, and
+// either completes the cycle (stay) or arms a move.
 func (e *engine) doCompute(r int) {
-	a := e.algo.Compute(e.snap[r])
+	var a model.Action
+	if e.pool != nil {
+		a = e.pool.wait(r)
+	} else {
+		a = e.algo.Compute(e.snap[r])
+	}
 	if !a.Target.IsFinite() {
 		e.violate(VBadTarget, r, r, fmt.Sprintf("target %v", a.Target))
 		a.Target = e.pos[r]

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"luxvis/internal/geom"
@@ -13,8 +14,10 @@ import (
 // beaconProbe publishes Beacon when it sees two others (the middle of a
 // collinear triple) and Off otherwise; nobody ever moves. Every snapshot
 // delivered to an end robot (exactly one visible other) is recorded so
-// tests can assert what survivors observe across a crash.
+// tests can assert what survivors observe across a crash. Computes may
+// run concurrently (see model.Algorithm), so the log is mutex-guarded.
 type beaconProbe struct {
+	mu       sync.Mutex
 	endSnaps []model.Snapshot
 }
 
@@ -22,7 +25,9 @@ func (*beaconProbe) Name() string           { return "beacon-probe" }
 func (*beaconProbe) Palette() []model.Color { return []model.Color{model.Off, model.Beacon} }
 func (p *beaconProbe) Compute(s model.Snapshot) model.Action {
 	if len(s.Others) == 1 {
+		p.mu.Lock()
 		p.endSnaps = append(p.endSnaps, s)
+		p.mu.Unlock()
 	}
 	if len(s.Others) == 2 {
 		return model.Stay(s.Self.Pos, model.Beacon)
@@ -44,17 +49,21 @@ func (moveOnce) Compute(s model.Snapshot) model.Action {
 	return model.MoveTo(geom.Pt(s.Self.Pos.X, s.Self.Pos.Y+1), model.Done)
 }
 
-// jitterProbe stays forever and records every observed other-position.
+// jitterProbe stays forever and records every observed other-position;
+// the log is mutex-guarded like beaconProbe's.
 type jitterProbe struct {
+	mu   sync.Mutex
 	seen []geom.Point
 }
 
 func (*jitterProbe) Name() string           { return "jitter-probe" }
 func (*jitterProbe) Palette() []model.Color { return []model.Color{model.Off} }
 func (p *jitterProbe) Compute(s model.Snapshot) model.Action {
+	p.mu.Lock()
 	for _, o := range s.Others {
 		p.seen = append(p.seen, o.Pos)
 	}
+	p.mu.Unlock()
 	return model.Stay(s.Self.Pos, model.Off)
 }
 
