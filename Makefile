@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-clean vet race bench-smoke fuzz-smoke scenarios bench-visibility bench-stream bench-check stream-soak check
+.PHONY: build test lint vet race bench-smoke fuzz-smoke scenarios bench-visibility bench-stream bench-check stream-soak check
 
 build:
 	$(GO) build ./...
@@ -12,19 +12,13 @@ test:
 	$(GO) test ./...
 
 ## lint: run the domain-aware static analysis suite (see DESIGN.md,
-## "Static invariants"). Fails on any error-severity finding. Runs are
-## incremental — per-package results are cached by content hash under
-## os.UserCacheDir()/luxvis-vislint — and parallel across all cores
-## (output is byte-identical at any worker count).
-NPROC ?= $(shell nproc 2>/dev/null || echo 1)
+## "Static invariants"). Fails on any error-severity finding. Every run
+## is a full run: module packages are type-checked from source, the
+## standard library is read from the go command's export data, and
+## packages are analyzed in parallel across all cores (output is
+## byte-identical at any worker count).
 lint:
-	$(GO) run ./cmd/vislint -workers=$(NPROC) ./...
-
-## lint-clean: bust the vislint result cache (use after suspecting a
-## stale cache; keys fold in toolchain and analyzer versions, so this
-## should rarely be needed).
-lint-clean:
-	$(GO) run ./cmd/vislint -clear-cache
+	$(GO) run ./cmd/vislint ./...
 
 vet:
 	$(GO) vet ./...

@@ -19,14 +19,15 @@
 //	go run ./cmd/vislint -format=github ./...   # CI annotations
 //
 // Package arguments narrow reporting to the matching directories; the
-// whole module is always hashed and resolved (analysis needs full type
+// whole module is always loaded and analyzed (analysis needs full type
 // information), so ./... and no arguments are equivalent.
 //
-// Runs are incremental: per-package results are cached under
-// os.UserCacheDir()/luxvis-vislint, keyed by content hash of the
-// package and its module-local dependencies, so an unchanged package is
-// never re-type-checked or re-analyzed. -no-cache bypasses the cache
-// for one run; -clear-cache deletes it and exits.
+// Every run is a full run: module packages are type-checked from
+// source and the standard library is read from the gc export data that
+// `go list -export` reports, so the go command must be on PATH (go run
+// puts its own toolchain there). Exit status 2 covers load failures —
+// an import with no export data, a type error in a module package —
+// as well as usage errors.
 package main
 
 import (
@@ -50,13 +51,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	analyzerNames := fs.String("analyzers", "", "comma-separated analyzer subset (default: all; see -list)")
-	runNames := fs.String("run", "", "alias for -analyzers (kept for existing invocations)")
 	diffRef := fs.String("diff", "", "report only findings on lines changed since this git ref (analysis still covers the whole module)")
 	quiet := fs.Bool("q", false, "print only the summary line")
 	format := fs.String("format", "text", "output format: text, github (Actions annotations) or sarif (SARIF 2.1.0)")
-	noCache := fs.Bool("no-cache", false, "bypass the result cache for this run")
-	clearCache := fs.Bool("clear-cache", false, "delete the result cache and exit")
-	workers := fs.Int("workers", 0, "max concurrent package analyses (0 = GOMAXPROCS)")
 	showVer := fs.Bool("version", false, "print build version and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: vislint [flags] [packages]\n\nFlags:\n")
@@ -78,23 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *clearCache {
-		// Resolve the location without opening (= creating) the cache: a
-		// machine that never ran vislint has nothing to clear, and the
-		// command must succeed without leaving an empty directory behind.
-		dir, err := lint.DefaultCacheDir()
-		if err != nil {
-			fmt.Fprintln(stderr, "vislint:", err)
-			return 2
-		}
-		if err := lint.ClearCache(dir); err != nil {
-			fmt.Fprintln(stderr, "vislint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "vislint: cleared cache at %s\n", dir)
-		return 0
-	}
-
 	switch *format {
 	case "text", "github", "sarif":
 	default:
@@ -102,13 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	sel := *analyzerNames
-	if sel == "" {
-		sel = *runNames
-	}
 	var names []string
-	if sel != "" {
-		names = strings.Split(sel, ",")
+	if *analyzerNames != "" {
+		names = strings.Split(*analyzerNames, ",")
 	}
 	analyzers, err := lint.ByName(names...)
 	if err != nil {
@@ -127,22 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := lint.Config{Workers: *workers}
-	if !*noCache {
-		// A cache that cannot be opened (read-only HOME, no cache dir)
-		// must not fail the gate; the run just isn't incremental.
-		if cache, err := lint.OpenCache(); err == nil {
-			cfg.Cache = cache
-		}
-	}
-
-	result, err := lint.LintModule(root, analyzers, cfg)
+	pkgs, err := lint.LintModule(root, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "vislint:", err)
 		return 2
 	}
 
-	selected := filterPackages(result.Packages, root, cwd, fs.Args())
+	selected := filterPackages(pkgs, root, cwd, fs.Args())
 	if len(selected) == 0 {
 		// A pattern that matches nothing is a typo'd path, and silently
 		// reporting "0 findings" on it would be a false green gate.
@@ -182,13 +149,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vislint:", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "vislint: %s\n", summary(result, len(selected), len(findings), errs))
+		fmt.Fprintf(stderr, "vislint: %s\n", summary(len(selected), len(findings), errs))
 	case "github":
 		if err := lint.WriteGitHub(stdout, root, findings); err != nil {
 			fmt.Fprintln(stderr, "vislint:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "vislint: %s\n", summary(result, len(selected), len(findings), errs))
+		fmt.Fprintf(stdout, "vislint: %s\n", summary(len(selected), len(findings), errs))
 	default:
 		if !*quiet {
 			for _, f := range findings {
@@ -196,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, f)
 			}
 		}
-		fmt.Fprintf(stdout, "vislint: %s\n", summary(result, len(selected), len(findings), errs))
+		fmt.Fprintf(stdout, "vislint: %s\n", summary(len(selected), len(findings), errs))
 	}
 	if errs > 0 {
 		return 1
@@ -204,14 +171,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// summary renders the one-line run report, including cache statistics
-// when a cache was in play.
-func summary(result *lint.ModuleResult, pkgs, findings, errs int) string {
-	s := fmt.Sprintf("%d package(s), %d finding(s), %d error(s)", pkgs, findings, errs)
-	if result.CacheHits > 0 {
-		s += fmt.Sprintf(" [cache: %d hit(s), %d miss(es)]", result.CacheHits, result.CacheMisses)
-	}
-	return s
+// summary renders the one-line run report.
+func summary(pkgs, findings, errs int) string {
+	return fmt.Sprintf("%d package(s), %d finding(s), %d error(s)", pkgs, findings, errs)
 }
 
 // filterPackages narrows the results to the requested patterns.

@@ -42,14 +42,8 @@ func (ArenaAlias) Doc() string {
 	return "kernel arena rows (Snapshot.Row, RowCache.VisibleSet) must not be retained, sent, mutated, or read after invalidation"
 }
 
-// Check implements Analyzer with intra-package knowledge only: direct
-// Row/VisibleSet results are tracked, wrapper returns are not.
-func (a ArenaAlias) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a ArenaAlias) CheckModule(p *Package, m *Module) []Finding {
+// Check implements Analyzer.
+func (a ArenaAlias) Check(p *Package, m *Module) []Finding {
 	g := p.CallGraph()
 	var out []Finding
 	for _, fn := range g.Funcs() {

@@ -30,7 +30,7 @@ func (AtomicMix) Doc() string {
 }
 
 // Check implements Analyzer.
-func (a AtomicMix) Check(p *Package) []Finding {
+func (a AtomicMix) Check(p *Package, _ *Module) []Finding {
 	if !importsPkg(p, "sync/atomic") {
 		return nil
 	}

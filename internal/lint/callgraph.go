@@ -68,26 +68,25 @@ func NewCallGraph(p *Package) *CallGraph {
 // function itself is called, which is the semantics the propagation
 // pass (and its clients: "does calling this block?") needs.
 func (g *CallGraph) collectCalls(fd *ast.FuncDecl) []CallEdge {
-	return frameCalls(g.p, g.decls, fd.Body)
+	return staticCalls(g.p, fd.Body, func(fn *types.Func) bool {
+		_, declared := g.decls[fn]
+		return declared // not cross-package, and has a body here
+	})
 }
 
-// frameCalls lists the in-frame calls of one analysis frame that target
-// functions declared (with bodies) in decls.
-func frameCalls(p *Package, decls map[*types.Func]*ast.FuncDecl, frame ast.Node) []CallEdge {
+// staticCalls is the one call-site walker: it lists the in-frame calls
+// of frame (see inspectFrame) whose static callee satisfies keep, in
+// call-site order.
+func staticCalls(p *Package, frame ast.Node, keep func(*types.Func) bool) []CallEdge {
 	var out []CallEdge
 	inspectFrame(frame, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		callee := p.StaticCallee(call)
-		if callee == nil {
-			return true
+		if callee := p.StaticCallee(call); callee != nil && keep(callee) {
+			out = append(out, CallEdge{Callee: callee, Pos: call.Pos()})
 		}
-		if _, declared := decls[callee]; !declared {
-			return true // cross-package, or no body in this package
-		}
-		out = append(out, CallEdge{Callee: callee, Pos: call.Pos()})
 		return true
 	})
 	return out

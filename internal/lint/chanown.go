@@ -39,14 +39,9 @@ func (ChanOwn) Doc() string {
 	return "channels need one owning frame: no send racing another frame's close, no double close, no send-capable escape past the closer"
 }
 
-// Check implements Analyzer with intra-package knowledge only.
-func (a ChanOwn) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a ChanOwn) CheckModule(p *Package, m *Module) []Finding {
-	if !inConcScope(p) {
+// Check implements Analyzer.
+func (a ChanOwn) Check(p *Package, m *Module) []Finding {
+	if !p.PathHasSuffix(concScope...) {
 		return nil
 	}
 	facts := m.chans[p]

@@ -6,9 +6,7 @@ package lint
 // (leak risk and termination evidence), and the lock-acquisition-order
 // edges over named mutex objects. Everything here is computed
 // bottom-up per package in module dependency order, so a package's
-// facts only ever depend on itself and its transitive dependencies —
-// the same input set its content hash covers, which is what keeps the
-// per-package result cache correct.
+// facts only ever depend on itself and its transitive dependencies.
 
 import (
 	"go/ast"
@@ -24,17 +22,6 @@ import (
 // serve); only reporting is scoped.
 var concScope = []string{
 	"internal/stream", "internal/serve", "internal/rt", "internal/sim", "internal/exp",
-}
-
-// inConcScope reports whether p is one of the concurrency-bearing
-// packages.
-func inConcScope(p *Package) bool {
-	for _, s := range concScope {
-		if p.PathHasSuffix(s) {
-			return true
-		}
-	}
-	return false
 }
 
 // frameLabel names one analysis frame for finding messages: the
@@ -456,10 +443,10 @@ func (rs keyRegions) covering(pos token.Pos) []keyRegion {
 // for deferred or missing unlocks.
 func lockKeyRegions(p *Package, frame ast.Node) keyRegions {
 	type event struct {
-		pos        token.Pos
-		key, disp  string
-		lock       bool
-		deferred   bool
+		pos       token.Pos
+		key, disp string
+		lock      bool
+		deferred  bool
 	}
 	var events []event
 	deferredCalls := make(map[*ast.CallExpr]bool)
@@ -568,7 +555,7 @@ func collectLockEdges(p *Package, m *Module, dirs *directiveSet) []lockEdge {
 					add(r, acq.key, acq.disp, acq.pos, "")
 				}
 			}
-			for _, e := range moduleCalls(p, m, frame) {
+			for _, e := range staticCalls(p, frame, m.declares) {
 				covering := regions.covering(e.Pos)
 				if len(covering) == 0 {
 					continue

@@ -28,15 +28,8 @@ func (CtxCancel) Doc() string {
 var ctxScope = []string{"internal/rt", "internal/exp"}
 
 // Check implements Analyzer.
-func (a CtxCancel) Check(p *Package) []Finding {
-	inScope := false
-	for _, s := range ctxScope {
-		if p.PathHasSuffix(s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+func (a CtxCancel) Check(p *Package, _ *Module) []Finding {
+	if !p.PathHasSuffix(ctxScope...) {
 		return nil
 	}
 	var out []Finding

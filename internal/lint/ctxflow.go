@@ -51,23 +51,9 @@ var ctxFlowScope = []string{
 	"internal/serve", "internal/sim", "internal/rt", "internal/exp",
 }
 
-// Check implements Analyzer with intra-package knowledge only: blocking
-// facts stop at the package boundary, so only locally-visible blocking
-// callees are enforced.
-func (a CtxFlow) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a CtxFlow) CheckModule(p *Package, m *Module) []Finding {
-	inScope := false
-	for _, s := range ctxFlowScope {
-		if p.PathHasSuffix(s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+// Check implements Analyzer.
+func (a CtxFlow) Check(p *Package, m *Module) []Finding {
+	if !p.PathHasSuffix(ctxFlowScope...) {
 		return nil
 	}
 

@@ -57,22 +57,9 @@ var wallClockFuncs = map[string]bool{
 // draws from the shared global source.
 var seededRandFuncs = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-// Check implements Analyzer with intra-package knowledge only: the
-// direct sources are still flagged, cross-package taint is not visible.
-func (a DetSource) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a DetSource) CheckModule(p *Package, m *Module) []Finding {
-	inScope := false
-	for _, s := range detSourceScope {
-		if p.PathHasSuffix(s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+// Check implements Analyzer.
+func (a DetSource) Check(p *Package, m *Module) []Finding {
+	if !p.PathHasSuffix(detSourceScope...) {
 		return nil
 	}
 
@@ -119,7 +106,7 @@ func (a DetSource) CheckModule(p *Package, m *Module) []Finding {
 	// this same package.
 	g := p.CallGraph()
 	for _, fn := range g.Funcs() {
-		for _, e := range m.crossPackageCalls(p, g.Decl(fn).Body) {
+		for _, e := range staticCalls(p, g.Decl(fn).Body, m.crossPackage(p)) {
 			s := m.Summary(e.Callee)
 			if s == nil || s.Nondet == nil {
 				continue

@@ -121,7 +121,7 @@ func (d *directiveSet) covers(p *Package, pos token.Pos, analyzer string) bool {
 
 // stale reports every directive that suppressed nothing even though its
 // analyzer was part of the run (active). A directive for an analyzer
-// outside the run set is left alone — `vislint -run floateq` must not
+// outside the run set is left alone — `vislint -analyzers floateq` must not
 // condemn the nondet annotations it never exercised — and an "all"
 // directive is only auditable on a full-suite run: on a partial run the
 // findings it exists to suppress may belong to a deselected analyzer,

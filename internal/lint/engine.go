@@ -7,21 +7,12 @@ import (
 )
 
 // Config tunes the engine. The zero value is the default: one worker
-// per CPU, no cache.
+// per CPU.
 type Config struct {
 	// Workers caps concurrent package analysis; <= 0 means GOMAXPROCS.
 	// Findings are byte-for-byte identical at any worker count — the
 	// canonical sort (see less) is the only ordering authority.
 	Workers int
-	// Cache, when non-nil, keys per-package results by content hash so
-	// unchanged packages skip analysis — and, in LintModule, skip
-	// type-checking entirely.
-	Cache *Cache
-	// IntraOnly disables the cross-package module view: every analyzer
-	// runs through its single-package Check, as the PR-4 engine did.
-	// Tests use it to prove a finding genuinely requires whole-program
-	// knowledge (present normally, absent under IntraOnly).
-	IntraOnly bool
 }
 
 func (c Config) workers() int {
@@ -32,48 +23,42 @@ func (c Config) workers() int {
 }
 
 // RunConfig applies the analyzers to every package under cfg and
-// returns all findings in canonical order. Packages are distributed
-// over workers by index striding; each worker writes only its own
-// result slots, so the engine needs no locks of its own.
+// returns all findings in canonical order.
 func RunConfig(pkgs []*Package, analyzers []Analyzer, cfg Config) []Finding {
-	var m *Module
-	if !cfg.IntraOnly {
-		// Summaries are computed once, up front and sequentially (they
-		// must flow dependencies-first anyway); the per-package analyzer
-		// runs then read them concurrently without coordination.
-		m = NewModule(pkgs)
-	}
-	results := make([][]Finding, len(pkgs))
-	runParallel(len(pkgs), cfg.workers(), func(i int) {
-		results[i] = lintPackage(pkgs[i], m, analyzers)
-	})
 	var out []Finding
-	for _, r := range results {
+	for _, r := range lintPackages(pkgs, analyzers, cfg) {
 		out = append(out, r...)
 	}
 	sortFindings(out)
 	return out
 }
 
+// lintPackages builds the module view over pkgs and lints every
+// package, returning each package's findings at its index. The
+// summaries are computed once, up front and sequentially (they must
+// flow dependencies-first anyway); the per-package analyzer runs then
+// read them concurrently without coordination. Packages are
+// distributed over workers by index striding; each worker writes only
+// its own result slots, so the engine needs no locks of its own.
+func lintPackages(pkgs []*Package, analyzers []Analyzer, cfg Config) [][]Finding {
+	m := NewModule(pkgs)
+	results := make([][]Finding, len(pkgs))
+	runParallel(len(pkgs), cfg.workers(), func(i int) {
+		results[i] = lintPackage(pkgs[i], m, analyzers)
+	})
+	return results
+}
+
 // lintPackage is the per-package unit of work: collect directives, run
 // the analyzers through directive filtering, then audit for stale
-// directives. Analyzers implementing ModuleAnalyzer get the module view
-// when one was built (m non-nil); the rest — and everything under
-// IntraOnly — run their single-package Check. The result is in
-// canonical order and is what the cache stores.
+// directives. The result is in canonical order.
 func lintPackage(p *Package, m *Module, analyzers []Analyzer) []Finding {
 	dirs, bad := collectDirectives(p)
 	out := append([]Finding(nil), bad...)
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		active[a.Name()] = true
-		var fs []Finding
-		if ma, ok := a.(ModuleAnalyzer); ok && m != nil {
-			fs = ma.CheckModule(p, m)
-		} else {
-			fs = a.Check(p)
-		}
-		for _, f := range fs {
+		for _, f := range a.Check(p, m) {
 			if !dirs.allows(f) {
 				out = append(out, f)
 			}
@@ -114,109 +99,27 @@ func runParallel(n, workers int, do func(int)) {
 	wg.Wait()
 }
 
-// PackageFindings is one package's lint outcome inside a ModuleResult.
+// PackageFindings is one package's outcome in a LintModule run.
 type PackageFindings struct {
 	// Path is the package import path.
 	Path string
 	// Dir is the package's absolute directory.
 	Dir string
-	// Findings is the package's canonical-order finding list (possibly
-	// served from cache).
+	// Findings is the package's canonical-order finding list.
 	Findings []Finding
 }
 
-// ModuleResult is a whole-module lint run.
-type ModuleResult struct {
-	// Packages lists every package in import-path order.
-	Packages []PackageFindings
-	// CacheHits and CacheMisses count packages served from / written to
-	// the cache. Without a cache, every package is a miss.
-	CacheHits, CacheMisses int
-}
-
-// Findings flattens the per-package results into one canonical-order
-// list.
-func (r *ModuleResult) Findings() []Finding {
-	var out []Finding
-	for _, p := range r.Packages {
-		out = append(out, p.Findings...)
-	}
-	sortFindings(out)
-	return out
-}
-
-// LintModule parses, type-checks and analyzes the module rooted at
-// root. With a cache configured, packages whose combined content hash
-// hits are served without analysis — and only the cache misses (plus
-// their dependency closure) are type-checked at all, which is where the
-// warm-run savings come from: parsing and hashing a module is
-// milliseconds, while type-checking drags in standard-library source.
-func LintModule(root string, analyzers []Analyzer, cfg Config) (*ModuleResult, error) {
-	ms, err := ParseModule(root)
+// LintModule loads the module rooted at root (see LoadModule) and lints
+// every package, returning the packages in import-path order.
+func LintModule(root string, analyzers []Analyzer) ([]PackageFindings, error) {
+	pkgs, err := LoadModule(root)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &ModuleResult{}
-	byPath := make(map[string][]Finding, len(ms.Paths()))
-	var missPaths []string
-	for _, path := range ms.Paths() {
-		if cfg.Cache != nil {
-			if fs, ok := cfg.Cache.Get(cacheKey(ms.Root, path, ms.Hash(path), analyzers)); ok {
-				byPath[path] = fs
-				res.CacheHits++
-				continue
-			}
-		}
-		missPaths = append(missPaths, path)
-		res.CacheMisses++
+	out := make([]PackageFindings, len(pkgs))
+	for i, fs := range lintPackages(pkgs, analyzers, Config{}) {
+		out[i] = PackageFindings{Path: pkgs[i].Path, Dir: pkgs[i].Dir, Findings: fs}
 	}
-
-	if len(missPaths) > 0 {
-		need := make(map[string]bool, len(missPaths))
-		for _, path := range missPaths {
-			need[path] = true
-		}
-		checked, err := ms.TypeCheck(need)
-		if err != nil {
-			return nil, err
-		}
-		// The module view spans the misses' whole dependency closure —
-		// exactly what TypeCheck returned, and exactly the input set the
-		// per-package combined hash (and so the cache key) is a function
-		// of: summaries only ever describe a function's dependencies.
-		var m *Module
-		if !cfg.IntraOnly {
-			closure := make([]*Package, 0, len(checked))
-			for _, path := range ms.Paths() {
-				if p, ok := checked[path]; ok {
-					closure = append(closure, p)
-				}
-			}
-			m = NewModule(closure)
-		}
-		results := make([][]Finding, len(missPaths))
-		runParallel(len(missPaths), cfg.workers(), func(i int) {
-			results[i] = lintPackage(checked[missPaths[i]], m, analyzers)
-		})
-		for i, path := range missPaths {
-			byPath[path] = results[i]
-			if cfg.Cache != nil {
-				// Best-effort: a failed cache write costs the next run a
-				// re-analysis, nothing more.
-				_ = cfg.Cache.Put(cacheKey(ms.Root, path, ms.Hash(path), analyzers), results[i])
-			}
-		}
-	}
-
-	paths := append([]string(nil), ms.Paths()...)
-	sort.Strings(paths)
-	for _, path := range paths {
-		res.Packages = append(res.Packages, PackageFindings{
-			Path:     path,
-			Dir:      ms.Dir(path),
-			Findings: byPath[path],
-		})
-	}
-	return res, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out, nil
 }

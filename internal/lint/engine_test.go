@@ -80,7 +80,7 @@ func fine(a, b int) bool { return a == b }
 }
 
 // TestStaleDirectiveInactiveAnalyzer: a directive for an analyzer that
-// did not run cannot be judged stale — `vislint -run detsource` must
+// did not run cannot be judged stale — `vislint -analyzers detsource` must
 // not condemn floateq annotations it never exercised.
 func TestStaleDirectiveInactiveAnalyzer(t *testing.T) {
 	src := `package fixture
@@ -96,7 +96,7 @@ func fine(a, b int) bool { return a == b }
 
 // TestStaleDirectiveDeselectedAnalyzer is the regression test for the
 // flag-aware staleness fix: a named directive whose findings exist —
-// but whose analyzer was deselected via -run — must not be reported
+// but whose analyzer was deselected via -analyzers — must not be reported
 // stale, even while a selected analyzer runs over the same file.
 func TestStaleDirectiveDeselectedAnalyzer(t *testing.T) {
 	src := `package fixture

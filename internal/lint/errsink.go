@@ -33,15 +33,8 @@ func (ErrSink) Doc() string {
 var errSinkScopes = []string{"internal/obs", "internal/trace", "internal/serve"}
 
 // Check implements Analyzer.
-func (a ErrSink) Check(p *Package) []Finding {
-	inScope := false
-	for _, s := range errSinkScopes {
-		if p.PathHasSuffix(s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+func (a ErrSink) Check(p *Package, _ *Module) []Finding {
+	if !p.PathHasSuffix(errSinkScopes...) {
 		return nil
 	}
 

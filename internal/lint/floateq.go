@@ -23,7 +23,7 @@ func (FloatEq) Doc() string {
 }
 
 // Check implements Analyzer.
-func (a FloatEq) Check(p *Package) []Finding {
+func (a FloatEq) Check(p *Package, _ *Module) []Finding {
 	if p.PathHasSuffix("internal/geom") {
 		return nil
 	}

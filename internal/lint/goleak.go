@@ -40,14 +40,9 @@ func (GoLeak) Doc() string {
 	return "every goroutine in the concurrency-bearing packages needs a provable exit path (ctx.Done/Err, module-closed channel, WaitGroup join, or a bounded body)"
 }
 
-// Check implements Analyzer with intra-package knowledge only.
-func (a GoLeak) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a GoLeak) CheckModule(p *Package, m *Module) []Finding {
-	if !inConcScope(p) {
+// Check implements Analyzer.
+func (a GoLeak) Check(p *Package, m *Module) []Finding {
+	if !p.PathHasSuffix(concScope...) {
 		return nil
 	}
 	closed := m.closedScope[p]
@@ -90,7 +85,7 @@ func (a GoLeak) spawnFacts(p *Package, m *Module, closed map[types.Object][]chan
 		if e != nil {
 			ev = &Reach{Desc: e.desc, Pos: e.pos}
 		}
-		for _, edge := range moduleCalls(p, m, fl.Body) {
+		for _, edge := range staticCalls(p, fl.Body, m.declares) {
 			s := m.Summary(edge.Callee)
 			if s == nil {
 				continue

@@ -8,24 +8,25 @@
 // tear-free atomics discipline (atomicmix), checked hot-writer errors
 // (errsink), stable wire-format tags (wireformat), kernel arena-row
 // aliasing (arenaalias), context propagation across the serve→sim→rt
-// layering (ctxflow), and seeded-replay determinism with cross-package
-// taint (detsource, superseding the local-only nondet of PRs 2–5).
+// layering (ctxflow), seeded-replay determinism with cross-package
+// taint (detsource, which superseded the local-only nondet), and
+// goroutine termination, lock-acquisition order and channel ownership
+// (goleak, lockorder, chanown).
 //
-// Since PR 4 the engine reasons across function boundaries: each package
-// gets an intra-package static call graph (callgraph.go) that the
-// concurrency analyzers propagate over, packages are analyzed in
-// parallel with deterministic finding order (engine.go), results are
-// cached by content hash for incremental runs (cache.go), and findings
-// render as text, GitHub Actions annotations, or SARIF 2.1.0
-// (sarif.go). This PR lifts the graph across package boundaries: all
-// loaded packages share one type-checked universe, every declared
-// function gets a FuncSummary (lock safety, blocking, determinism
-// taint, arena returns, JSON-sink parameters — module.go) computed
-// bottom-up in dependency order, and a lightweight per-function
-// dataflow pass (dataflow.go) tracks values of interest through
-// assignments and slicing. Analyzers that implement ModuleAnalyzer
-// receive the whole-program view; the rest keep their per-package
-// Check.
+// The engine reasons across function and package boundaries. LoadModule
+// type-checks every module package from source into one shared universe,
+// reading the standard library from the gc export data the go command
+// keeps in its build cache (load.go). Module (module.go) then computes a
+// FuncSummary for every declared function — lock safety, blocking,
+// determinism taint, arena returns, JSON-sink parameters, goroutine
+// termination and lock acquisitions — bottom-up in dependency order,
+// closing each package's facts over its intra-package call graph
+// (callgraph.go); a lightweight per-function dataflow pass (dataflow.go)
+// tracks values of interest through assignments and slicing. Every
+// analyzer receives the package and the module view. Packages are
+// analyzed in parallel with deterministic finding order (engine.go), and
+// findings render as text, GitHub Actions annotations, or SARIF 2.1.0
+// (sarif.go).
 //
 // The suite is self-hosted: `go run ./cmd/vislint ./...` must exit 0 on
 // this repository. Deliberate exceptions are annotated in the source
@@ -95,10 +96,6 @@ type Package struct {
 	Pkg *types.Package
 	// Info carries the type-checker's expression/object tables.
 	Info *types.Info
-	// Hash is the package's combined content hash: its own sources plus
-	// every module-local dependency's, transitively. It keys the result
-	// cache; empty for packages built outside LoadModule (fixtures).
-	Hash string
 
 	cgOnce sync.Once
 	cg     *CallGraph
@@ -107,11 +104,17 @@ type Package struct {
 // TypeOf returns the type of e, or nil when unknown.
 func (p *Package) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// PathHasSuffix reports whether the package's import path ends in
-// suffix on a path-segment boundary ("internal/geom" matches
-// "luxvis/internal/geom" but not "luxvis/xinternal/geom").
-func (p *Package) PathHasSuffix(suffix string) bool {
-	return p.Path == suffix || strings.HasSuffix(p.Path, "/"+suffix)
+// PathHasSuffix reports whether the package's import path ends in one
+// of suffixes on a path-segment boundary ("internal/geom" matches
+// "luxvis/internal/geom" but not "luxvis/xinternal/geom"). Analyzers
+// scope themselves with it.
+func (p *Package) PathHasSuffix(suffixes ...string) bool {
+	for _, suffix := range suffixes {
+		if p.Path == suffix || strings.HasSuffix(p.Path, "/"+suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // Analyzer is one named check over a type-checked package.
@@ -121,21 +124,10 @@ type Analyzer interface {
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc() string
 	// Check returns the analyzer's findings for one package, before
-	// directive filtering.
-	Check(p *Package) []Finding
-}
-
-// ModuleAnalyzer is the optional whole-program interface: an analyzer
-// that also implements CheckModule is handed the cross-package module
-// view when the engine has one. Check remains the required,
-// single-package entry point — by convention implemented as
-// CheckModule(p, NewModule([]*Package{p})), so intra-package behavior
-// is the same algorithm with a one-package universe.
-type ModuleAnalyzer interface {
-	Analyzer
-	// CheckModule returns the analyzer's findings for one package,
-	// computed with whole-program knowledge of m (which contains p).
-	CheckModule(p *Package, m *Module) []Finding
+	// directive filtering, computed with whole-program knowledge of m
+	// (which contains p). Run over a single package, m is that one
+	// package: calls into other packages are opaque.
+	Check(p *Package, m *Module) []Finding
 }
 
 // All returns the full luxvis analyzer suite in canonical order.
@@ -198,14 +190,14 @@ func ByName(names ...string) ([]Analyzer, error) {
 // //lint:allow directives (auditing for stale ones), and returns the
 // survivors in canonical order. Malformed directives are themselves
 // reported as error findings. Packages are analyzed in parallel; see
-// RunConfig to control the worker count or attach a cache.
+// RunConfig to control the worker count.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	return RunConfig(pkgs, analyzers, Config{})
 }
 
 // less is the canonical finding order: position (filename, line,
 // column), then analyzer, then message. Every path that emits findings
-// — sequential, parallel, cached — sorts with this one comparator, so
+// — sequential or parallel — sorts with this one comparator, so
 // engine configuration can never reorder output.
 func less(a, b Finding) bool {
 	if a.Pos.Filename != b.Pos.Filename {

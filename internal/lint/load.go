@@ -1,15 +1,16 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,51 +20,13 @@ import (
 // LoadModule discovers, parses and type-checks every non-test package
 // under the module rooted at root (the directory containing go.mod),
 // returning packages in dependency order. It is a deliberately small,
-// offline substitute for golang.org/x/tools/go/packages: module-local
-// imports are resolved from the tree being linted and standard-library
-// imports are type-checked from GOROOT source, so the loader needs no
-// build cache, no network and no external dependencies.
-//
-// Callers that want to avoid type-checking work on cache hits should
-// use ParseModule + ModuleSource.TypeCheck instead (that is what
-// LintModule does): parsing and content-hashing are cheap, while
-// type-checking — which drags in standard-library source — dominates
-// the cost of a lint run.
+// offline substitute for golang.org/x/tools/go/packages: module
+// packages are type-checked from the tree being linted, so an error in
+// them is reported by go/types against the package, and every other
+// import (the standard library) is read from the gc export data the go
+// command keeps in its build cache — one `go list -export` call per
+// load, no network and no external dependencies.
 func LoadModule(root string) ([]*Package, error) {
-	ms, err := ParseModule(root)
-	if err != nil {
-		return nil, err
-	}
-	checked, err := ms.TypeCheck(nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Package, 0, len(ms.order))
-	for _, path := range ms.order {
-		out = append(out, checked[path])
-	}
-	return out, nil
-}
-
-// ModuleSource is a parsed-but-not-yet-type-checked module: syntax
-// trees, import graphs and content hashes for every package, in
-// dependency order. It is the unit the cache layer keys against — a
-// package's combined hash is known before any type-checking happens.
-type ModuleSource struct {
-	// Root is the absolute module root.
-	Root string
-	// ModPath is the module path from go.mod.
-	ModPath string
-
-	fset  *token.FileSet
-	pkgs  map[string]*rawPkg
-	order []string // topological, dependencies first
-}
-
-// ParseModule discovers and parses every non-test package under root,
-// computing per-package content hashes and the dependency order, but
-// performing no type-checking.
-func ParseModule(root string) (*ModuleSource, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -80,6 +43,7 @@ func ParseModule(root string) (*ModuleSource, error) {
 	fset := token.NewFileSet()
 	parsed := make(map[string]*rawPkg, len(dirs))
 	var paths []string
+	stdSet := map[string]bool{}
 	for _, dir := range dirs {
 		rp, err := parseDir(fset, root, modPath, dir)
 		if err != nil {
@@ -90,6 +54,11 @@ func ParseModule(root string) (*ModuleSource, error) {
 		}
 		parsed[rp.path] = rp
 		paths = append(paths, rp.path)
+		for _, imp := range rp.imports {
+			if !inModule(modPath, imp) {
+				stdSet[imp] = true
+			}
+		}
 	}
 	sort.Strings(paths)
 
@@ -98,74 +67,27 @@ func ParseModule(root string) (*ModuleSource, error) {
 		return nil, err
 	}
 
-	// Combined hashes, dependencies first: a package's cache key must
-	// change when anything it can see changes, so the combined hash
-	// folds in every module-local import's combined hash.
-	for _, path := range order {
-		rp := parsed[path]
-		h := sha256.New()
-		fmt.Fprintf(h, "self %s\n", rp.hash)
-		for _, imp := range rp.imports {
-			if dep, ok := parsed[imp]; ok {
-				fmt.Fprintf(h, "dep %s %s\n", imp, dep.combined)
-			}
-		}
-		rp.combined = hex.EncodeToString(h.Sum(nil))
+	std := make([]string, 0, len(stdSet))
+	for imp := range stdSet {
+		std = append(std, imp)
 	}
-
-	return &ModuleSource{Root: root, ModPath: modPath, fset: fset, pkgs: parsed, order: order}, nil
-}
-
-// Paths returns the package import paths in dependency order.
-func (ms *ModuleSource) Paths() []string { return ms.order }
-
-// Hash returns the combined content hash of one package (its own
-// sources plus all module-local dependencies, transitively).
-func (ms *ModuleSource) Hash(path string) string { return ms.pkgs[path].combined }
-
-// Dir returns the absolute directory of one package.
-func (ms *ModuleSource) Dir(path string) string { return ms.pkgs[path].dir }
-
-// TypeCheck type-checks the packages in need — plus their module-local
-// transitive dependencies, which go/types requires — and returns them
-// by import path. A nil need means every package. Packages outside the
-// closure are not checked at all; on a fully-warm cache run that is the
-// entire savings.
-func (ms *ModuleSource) TypeCheck(need map[string]bool) (map[string]*Package, error) {
-	closure := make(map[string]bool, len(ms.order))
-	var mark func(path string)
-	mark = func(path string) {
-		if closure[path] {
-			return
-		}
-		closure[path] = true
-		for _, imp := range ms.pkgs[path].imports {
-			if _, local := ms.pkgs[imp]; local {
-				mark(imp)
-			}
-		}
+	sort.Strings(std)
+	exports := &exportFiles{dir: root, files: map[string]string{}}
+	if err := exports.add(std); err != nil {
+		return nil, err
 	}
-	for _, path := range ms.order {
-		if need == nil || need[path] {
-			mark(path)
-		}
-	}
-
 	imp := &moduleImporter{
-		std:  importer.ForCompiler(ms.fset, "source", nil),
-		pkgs: make(map[string]*types.Package, len(closure)),
+		std:  stdImporter(fset, exports),
+		pkgs: make(map[string]*types.Package, len(order)),
 	}
-	out := make(map[string]*Package, len(closure))
-	for _, path := range ms.order {
-		if !closure[path] {
-			continue
-		}
-		pkg, err := typeCheck(ms.fset, ms.pkgs[path], imp)
+	out := make([]*Package, 0, len(order))
+	for _, path := range order {
+		pkg, err := typeCheck(fset, parsed[path], imp)
 		if err != nil {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 		}
 		imp.pkgs[path] = pkg.Pkg
-		out[path] = pkg
+		out = append(out, pkg)
 	}
 	return out, nil
 }
@@ -232,17 +154,14 @@ func packageDirs(root string) ([]string, error) {
 
 // rawPkg is a parsed-but-unchecked package.
 type rawPkg struct {
-	path     string
-	dir      string
-	files    []*ast.File
-	imports  []string
-	hash     string // sha256 over this package's own file names + contents
-	combined string // hash folded with all module-local deps' combined hashes
+	path    string
+	dir     string
+	files   []*ast.File
+	imports []string
 }
 
 // parseDir parses the non-test Go files of one directory, or returns
-// nil when the directory holds none. File contents are read once and
-// fed to both the parser and the package content hash.
+// nil when the directory holds none.
 func parseDir(fset *token.FileSet, root, modPath, dir string) (*rawPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -250,20 +169,12 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*rawPkg, error) {
 	}
 	var files []*ast.File
 	seen := map[string]bool{}
-	h := sha256.New()
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(h, "file %s %d\n", name, len(src))
-		h.Write(src)
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -288,13 +199,13 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*rawPkg, error) {
 		imports = append(imports, imp)
 	}
 	sort.Strings(imports)
-	return &rawPkg{
-		path:    path,
-		dir:     dir,
-		files:   files,
-		imports: imports,
-		hash:    hex.EncodeToString(h.Sum(nil)),
-	}, nil
+	return &rawPkg{path: path, dir: dir, files: files, imports: imports}, nil
+}
+
+// inModule reports whether the import path imp names a package of the
+// module modPath.
+func inModule(modPath, imp string) bool {
+	return imp == modPath || strings.HasPrefix(imp, modPath+"/")
 }
 
 // topoSort orders packages so every module-local import precedes its
@@ -317,8 +228,8 @@ func topoSort(pkgs map[string]*rawPkg, paths []string, modPath string) ([]string
 		}
 		state[path] = visiting
 		for _, imp := range pkgs[path].imports {
-			if imp != modPath && !strings.HasPrefix(imp, modPath+"/") {
-				continue // standard library: the source importer's job
+			if !inModule(modPath, imp) {
+				continue // standard library: read from export data
 			}
 			if _, ok := pkgs[imp]; !ok {
 				return fmt.Errorf("lint: %s imports %s, which has no Go files", path, imp)
@@ -339,11 +250,63 @@ func topoSort(pkgs map[string]*rawPkg, paths []string, modPath string) ([]string
 	return order, nil
 }
 
+// exportFiles maps import paths to the gc export data files the go
+// command builds for them. It is filled by `go list -export -deps` run
+// in dir: up front for a known import set, or on a lookup miss. It is
+// not safe for concurrent use.
+type exportFiles struct {
+	dir   string // "" = the current directory
+	files map[string]string
+}
+
+// add runs one `go list -export -deps` over paths and records the
+// export file of every package in their dependency closure.
+func (e *exportFiles) add(paths []string) error {
+	if len(paths) == 0 {
+		return nil
+	}
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "--"}, paths...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = e.dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export %s: %v\n%s", strings.Join(paths, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok && file != "" {
+			e.files[path] = file
+		}
+	}
+	return nil
+}
+
+// lookup opens path's export data for the gc importer.
+func (e *exportFiles) lookup(path string) (io.ReadCloser, error) {
+	if _, ok := e.files[path]; !ok {
+		if err := e.add([]string{path}); err != nil {
+			return nil, err
+		}
+	}
+	file, ok := e.files[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: go list reported no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
 // moduleImporter serves module-local packages from the already-checked
-// set and everything else (the standard library) from GOROOT source.
+// set and everything else (the standard library) from gc export data.
 type moduleImporter struct {
 	std  types.Importer
 	pkgs map[string]*types.Package
+}
+
+// stdImporter is the package's one standard-library importer: gc
+// export data located through exports.
+func stdImporter(fset *token.FileSet, exports *exportFiles) types.Importer {
+	return importer.ForCompiler(fset, "gc", exports.lookup)
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -374,15 +337,15 @@ func typeCheck(fset *token.FileSet, rp *rawPkg, imp types.Importer) (*Package, e
 		Files: rp.files,
 		Pkg:   pkg,
 		Info:  info,
-		Hash:  rp.combined,
 	}, nil
 }
 
 // sharedFset and sharedStd back CheckSource: one FileSet and one
-// GOROOT-source importer shared by every call, so repeated fixture
-// checks (the analyzer tests) pay for each standard-library package
-// only once per process. Guarded by sharedMu; the source importer is
-// not safe for concurrent use.
+// importer shared by every call, so repeated fixture checks (the
+// analyzer tests) resolve each standard-library package once per
+// process, filling the export-file map lazily as fixtures import new
+// packages. Guarded by sharedMu; the importer is not safe for
+// concurrent use.
 var (
 	sharedMu   sync.Mutex
 	sharedFset *token.FileSet
@@ -398,7 +361,7 @@ func CheckSource(path, filename, src string, deps []*Package) (*Package, error) 
 	defer sharedMu.Unlock()
 	if sharedFset == nil {
 		sharedFset = token.NewFileSet()
-		sharedStd = importer.ForCompiler(sharedFset, "source", nil)
+		sharedStd = stdImporter(sharedFset, &exportFiles{files: map[string]string{}})
 	}
 	f, err := parser.ParseFile(sharedFset, filename, src, parser.ParseComments)
 	if err != nil {

@@ -39,11 +39,6 @@ func (LockOrder) Doc() string {
 	return "the module-wide lock-acquisition-order graph must be acyclic; a cycle is a latent deadlock reported with both witness chains"
 }
 
-// Check implements Analyzer with intra-package knowledge only.
-func (a LockOrder) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
 // lockEdgeGroup aggregates every site that contributes the same
 // from→to edge. The edge is live (part of the traversal graph) unless
 // every contributing site is allowed.
@@ -54,8 +49,8 @@ type lockEdgeGroup struct {
 	live             bool
 }
 
-// CheckModule implements ModuleAnalyzer.
-func (a LockOrder) CheckModule(p *Package, m *Module) []Finding {
+// Check implements Analyzer.
+func (a LockOrder) Check(p *Package, m *Module) []Finding {
 	own := m.lockEdges[p]
 	if len(own) == 0 {
 		return nil

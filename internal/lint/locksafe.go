@@ -60,18 +60,12 @@ type lockedOp struct {
 	observer bool
 }
 
-// Check implements Analyzer with intra-package knowledge only: calls
-// into other packages are opaque, as they were before the module graph.
-func (a LockSafe) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer. The summary pass (module.go)
+// Check implements Analyzer. The summary pass (module.go)
 // already did the reachability work — each function's LockUnsafe fact is
 // closed over intra-package chains and cross-package call sites — so
 // this pass only intersects each frame's locked regions with its own
 // unsafe ops and with calls into summarized-unsafe functions.
-func (a LockSafe) CheckModule(p *Package, m *Module) []Finding {
+func (a LockSafe) Check(p *Package, m *Module) []Finding {
 	if !importsPkg(p, "sync") {
 		return nil
 	}
@@ -97,7 +91,7 @@ func (a LockSafe) CheckModule(p *Package, m *Module) []Finding {
 						name, op.desc, mu))
 				}
 			}
-			for _, e := range moduleCalls(p, m, frame) {
+			for _, e := range staticCalls(p, frame, m.declares) {
 				s := m.Summary(e.Callee)
 				if s == nil || s.LockUnsafe == nil {
 					continue

@@ -14,11 +14,10 @@ import (
 // callee below it already has its facts; the per-package intra
 // call-graph (callgraph.go) then closes the facts over local recursion.
 //
-// Because a summary only ever describes a function's transitive
-// *dependencies*, the per-package result cache stays correct unchanged:
-// a package's combined content hash already folds in every module-local
-// dependency's sources, which is exactly the input set its cross-package
-// findings are a function of.
+// A summary only ever describes a function's transitive
+// *dependencies*, so a package's findings are a function of its own
+// sources and its module-local dependencies: the same whether its
+// dependents are loaded or not.
 type Module struct {
 	pkgs   []*Package // dependency order
 	byPath map[string]*Package
@@ -27,7 +26,8 @@ type Module struct {
 
 	// chans holds each package's own channel send/close sites;
 	// closedScope widens a package's view of closes to its transitive
-	// module dependencies (never its dependents — cache correctness).
+	// module dependencies (never its dependents, so a package's
+	// findings do not depend on who imports it).
 	chans       map[*Package]*chanFacts
 	closedScope map[*Package]map[types.Object][]chanSite
 	// lockEdges holds each package's lock-order edges, derived after
@@ -250,7 +250,7 @@ func (m *Module) summarize(p *Package) {
 		}
 
 		// Cross-package call facts, earliest call site first.
-		for _, e := range m.crossPackageCalls(p, body) {
+		for _, e := range staticCalls(p, body, m.crossPackage(p)) {
 			s := m.sums[e.Callee]
 			name := crossName(p, e.Callee)
 			if s.LockUnsafe != nil {
@@ -359,46 +359,17 @@ func mergeDirect(direct map[*types.Func]Reach, fn *types.Func, r Reach) {
 	direct[fn] = r
 }
 
-// crossPackageCalls lists the outer-frame calls of body that target a
-// function declared in another module package, in call-site order.
-func (m *Module) crossPackageCalls(p *Package, body ast.Node) []CallEdge {
-	var out []CallEdge
-	inspectFrame(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := p.StaticCallee(call)
-		if callee == nil {
-			return true
-		}
-		owner := m.owner[callee]
-		if owner == nil || owner == p {
-			return true
-		}
-		out = append(out, CallEdge{Callee: callee, Pos: call.Pos()})
-		return true
-	})
-	return out
-}
+// declares reports whether fn is declared (with a body) in one of the
+// module's packages; a staticCalls filter.
+func (m *Module) declares(fn *types.Func) bool { return m.owner[fn] != nil }
 
-// moduleCalls lists the in-frame calls that target any module-declared
-// function — the cross-package generalization of frameCalls.
-func moduleCalls(p *Package, m *Module, frame ast.Node) []CallEdge {
-	var out []CallEdge
-	inspectFrame(frame, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := p.StaticCallee(call)
-		if callee == nil || m.owner[callee] == nil {
-			return true
-		}
-		out = append(out, CallEdge{Callee: callee, Pos: call.Pos()})
-		return true
-	})
-	return out
+// crossPackage returns the staticCalls filter for callees declared in
+// another module package than p.
+func (m *Module) crossPackage(p *Package) func(*types.Func) bool {
+	return func(fn *types.Func) bool {
+		owner := m.owner[fn]
+		return owner != nil && owner != p
+	}
 }
 
 // crossName renders a callee for witness chains: bare within the same

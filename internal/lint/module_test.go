@@ -40,27 +40,32 @@ func fileFindings(fs []lint.Finding, file string) []lint.Finding {
 
 // runModuleFixture lints a multi-package module with one analyzer and
 // asserts the target file's findings against its "// want" markers.
-// With intraOnly, the engine runs the analyzer's single-package path —
-// the way to prove a finding genuinely needs cross-package knowledge is
-// to mark it "// want" and list it in wantsGoneIntra.
+// The way to prove a finding genuinely needs cross-package knowledge is
+// to mark it "// want" here and also call assertIntraSilent.
 func runModuleFixture(t *testing.T, specs []pkgSpec, a lint.Analyzer, targetFile, targetSrc string) {
 	t.Helper()
 	pkgs := buildModule(t, specs)
-	fs := lint.RunConfig(pkgs, []lint.Analyzer{a}, lint.Config{})
+	fs := lint.Run(pkgs, []lint.Analyzer{a})
 	assertWants(t, targetSrc, fileFindings(fs, targetFile))
 }
 
-// assertIntraSilent asserts that the intra-package engine reports
-// nothing for the target file — the proof that the module fixture's
+// assertIntraSilent asserts that the package holding the target file,
+// linted alone (a one-package module, where calls into other packages
+// are opaque), reports nothing — the proof that the module fixture's
 // findings require the cross-package graph.
 func assertIntraSilent(t *testing.T, specs []pkgSpec, a lint.Analyzer, targetFile string) {
 	t.Helper()
-	pkgs := buildModule(t, specs)
-	fs := fileFindings(lint.RunConfig(pkgs, []lint.Analyzer{a}, lint.Config{IntraOnly: true}), targetFile)
-	if len(fs) != 0 {
-		t.Errorf("IntraOnly run reported %d finding(s) in %s; want none (finding should require cross-package analysis):\n%s",
-			len(fs), targetFile, render(fs))
+	for _, p := range buildModule(t, specs) {
+		if p.Fset.Position(p.Files[0].Package).Filename != targetFile {
+			continue
+		}
+		if fs := lint.Run([]*lint.Package{p}, []lint.Analyzer{a}); len(fs) != 0 {
+			t.Errorf("linted alone, %s reported %d finding(s); want none (finding should require cross-package analysis):\n%s",
+				targetFile, len(fs), render(fs))
+		}
+		return
 	}
+	t.Fatalf("no fixture package holds %s", targetFile)
 }
 
 // geomFixture mimics the kernel's arena-handing API shape at the geom
@@ -122,9 +127,9 @@ func (s *server) good(ch chan int) int {
 
 // TestWireFormatCrossPackage: an untagged struct declared in another
 // module package, marshaled through a wrapper declared in a third, is
-// reported at the serve-layer call site. The PR-4 engine's wrapper
-// fixpoint and struct scoping both stopped at the package boundary, so
-// the intra-only run is provably silent.
+// reported at the serve-layer call site. Linted alone, serve sees
+// neither the wrapper's sink parameter nor the struct's package, so
+// that run is provably silent.
 func TestWireFormatCrossPackage(t *testing.T) {
 	coreSrc := `package core
 

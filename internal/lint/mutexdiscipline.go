@@ -37,7 +37,7 @@ type guardInfo struct {
 }
 
 // Check implements Analyzer.
-func (a MutexDiscipline) Check(p *Package) []Finding {
+func (a MutexDiscipline) Check(p *Package, _ *Module) []Finding {
 	if !importsPkg(p, "sync") {
 		return nil
 	}

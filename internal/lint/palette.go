@@ -26,7 +26,7 @@ func (PaletteDiscipline) Doc() string {
 }
 
 // Check implements Analyzer.
-func (a PaletteDiscipline) Check(p *Package) []Finding {
+func (a PaletteDiscipline) Check(p *Package, _ *Module) []Finding {
 	if p.PathHasSuffix("internal/model") {
 		return nil
 	}

@@ -52,22 +52,9 @@ func (WireFormat) Doc() string {
 // wireScopes are the package-path suffixes that produce wire bytes.
 var wireScopes = []string{"internal/serve", "internal/trace", "internal/obs"}
 
-// Check implements Analyzer with intra-package knowledge only: wrapper
-// discovery and struct scoping stop at the package boundary.
-func (a WireFormat) Check(p *Package) []Finding {
-	return a.CheckModule(p, NewModule([]*Package{p}))
-}
-
-// CheckModule implements ModuleAnalyzer.
-func (a WireFormat) CheckModule(p *Package, m *Module) []Finding {
-	inScope := false
-	for _, s := range wireScopes {
-		if p.PathHasSuffix(s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+// Check implements Analyzer.
+func (a WireFormat) Check(p *Package, m *Module) []Finding {
+	if !p.PathHasSuffix(wireScopes...) {
 		return nil
 	}
 
