@@ -579,13 +579,17 @@ func (a *LogVis) slotUsable(self, u, v geom.Point, others []model.RobotView) boo
 		if w.Pos.Eq(u) || w.Pos.Eq(v) {
 			continue
 		}
-		if geom.StrictlyBetween(u, v, w.Pos) {
-			return false
+		o := geom.Orient(u, v, w.Pos)
+		if o == geom.Collinear {
+			if geom.StrictlyBetween(u, v, w.Pos) {
+				return false
+			}
+			continue
 		}
 		if w.Color == model.Transit || w.Color == model.Beacon {
 			continue
 		}
-		if o := geom.Orient(u, v, w.Pos); o != geom.Collinear && o != mySide {
+		if o != mySide {
 			return false
 		}
 	}

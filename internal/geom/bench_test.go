@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,15 +17,37 @@ func benchPoints(n int, seed int64) []Point {
 	return pts
 }
 
+// benchCirclePoints returns n points at random angles on one circle.
+func benchCirclePoints(n int, seed int64) []Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]Point, n)
+	for i := range pts {
+		a := 2 * math.Pi * rng.Float64()
+		pts[i] = Pt(500+400*math.Cos(a), 500+400*math.Sin(a))
+	}
+	return pts
+}
+
+// BenchmarkConvexHull covers uniform inputs and convex position (points
+// on a circle, every point a corner: the late-phase LogVis local hull).
+// n193 is the local-hull size at N = 192 (self plus 192 others).
 func BenchmarkConvexHull(b *testing.B) {
-	for _, n := range []int{64, 512} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			pts := benchPoints(n, 1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = ConvexHull(pts)
-			}
-		})
+	for _, n := range []int{64, 193, 512} {
+		inputs := []struct {
+			name string
+			pts  []Point
+		}{
+			{sizeName(n), benchPoints(n, 1)},
+			{sizeName(n) + "-circle", benchCirclePoints(n, 1)},
+		}
+		for _, in := range inputs {
+			b.Run(in.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = ConvexHull(in.pts)
+				}
+			})
+		}
 	}
 }
 
