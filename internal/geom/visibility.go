@@ -39,19 +39,6 @@ func VisibleFrom(pts []Point, i int) []int {
 	return out
 }
 
-// VisibilityCount returns the number of mutually visible pairs among pts.
-func VisibilityCount(pts []Point) int {
-	n := 0
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if Visible(pts, i, j) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // CompleteVisibility reports whether every pair of points is mutually
 // visible. This is the goal predicate of the paper. For n ≤ 1 it holds
 // trivially.
@@ -67,37 +54,6 @@ func CompleteVisibility(pts []Point) bool {
 		}
 	}
 	return true
-}
-
-// Blockers returns the indices of points that block i from j (points
-// strictly between them).
-func Blockers(pts []Point, i, j int) []int {
-	var out []int
-	a, b := pts[i], pts[j]
-	for k, p := range pts {
-		if k == i || k == j {
-			continue
-		}
-		if StrictlyBetween(a, b, p) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// BlockedPairs returns every ordered-once pair (i < j) that is not
-// mutually visible. Used by the metrics module to chart visibility-graph
-// densification over a run.
-func BlockedPairs(pts []Point) [][2]int {
-	var out [][2]int
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if !Visible(pts, i, j) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
 }
 
 // PathClear reports whether the open corridor from `from` to `to` is free

@@ -5,9 +5,11 @@ import (
 	"slices"
 )
 
-// This file implements the O(n² log n) Complete Visibility check used by
-// the engine at epoch boundaries, where the naive O(n³) predicate would
-// dominate the run time at swarm sizes in the thousands.
+// This file implements the per-observer folded-direction scan behind the
+// O(n² log n) Complete Visibility check (Kernel.CompleteVisibilityFast)
+// the engine runs at epoch boundaries, where the naive O(n³) predicate
+// would dominate the run time at swarm sizes in the thousands, and behind
+// the exact checker's candidate filter (CollinearCandidates).
 //
 // The key observation: Complete Visibility fails iff some robot k has two
 // other robots collinear with it — if i and j lie on one line through k,
@@ -54,35 +56,40 @@ func foldTol(minD2, maxL1 float64) (tol float64, ok bool) {
 	return bound, true
 }
 
-// Triple records a collinear triple (A, B, Blocker): Blocker lies on the
-// line through A and B (not necessarily between them).
+// Triple records a candidate collinear triple (A, B, Blocker): from
+// observer Blocker, A and B lie in near-equal folded directions, so
+// Blocker may lie on the line through A and B (not necessarily between
+// them).
 type Triple struct {
 	A, B, Blocker int
 }
 
-// CollinearTriples returns, for each point k, the (i, j) pairs whose
-// directions from k fold to the same angle and that pass the
-// cross-product collinearity confirmation. If the result is empty the
-// point set has no three collinear points and Complete Visibility holds.
-// maxTriples truncates the scan (0 = unlimited) since one triple already
-// refutes CV.
-func CollinearTriples(pts []Point, maxTriples int) []Triple {
-	return collinearScan(pts, 0, true, maxTriples)
-}
-
-// CollinearCandidates is the unconfirmed variant of CollinearTriples: it
-// returns every pair whose folded directions agree within tol, without
-// the float collinearity confirmation. The exact checker uses it as a
-// superset filter: every exactly-collinear triple has a folded-angle gap
-// far below any reasonable tol, so confirming only the candidates with
-// exact arithmetic decides Complete Visibility exactly. tol acts as a
-// floor — per observer the scan widens it to the scale-aware foldTol
-// bound, so the superset contract holds at any coordinate magnitude.
+// CollinearCandidates returns every pair whose folded directions from
+// some observer agree within tol, without a collinearity confirmation.
+// The exact checker uses it as a superset filter: every exactly-collinear
+// triple has a folded-angle gap far below any reasonable tol, so
+// confirming only the candidates with exact arithmetic decides Complete
+// Visibility exactly. tol acts as a floor — per observer the scan widens
+// it to the scale-aware foldTol bound, so the superset contract holds at
+// any coordinate magnitude. A point coincident with observer k comes back
+// as the degenerate Triple{A: k, B: j, Blocker: j}.
 func CollinearCandidates(pts []Point, tol float64) []Triple {
 	if tol <= 0 {
 		tol = angleFoldTol
 	}
-	return collinearScan(pts, tol, false, 0)
+	var out []Triple
+	dirs := make([]dir, 0, len(pts))
+	for k := range pts {
+		dirs, _ = collinearObserver(pts, k, tol, dirs, func(a, b int, confirmable bool) bool {
+			if confirmable {
+				out = append(out, Triple{A: a, B: b, Blocker: k})
+			} else {
+				out = append(out, Triple{A: k, B: a, Blocker: b})
+			}
+			return false
+		})
+	}
+	return out
 }
 
 // dir is one folded direction from a scan observer.
@@ -210,49 +217,4 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		lo = (lo + runLen) % m
 	}
 	return dirs, false
-}
-
-func collinearScan(pts []Point, floorTol float64, confirm bool, maxTriples int) []Triple {
-	n := len(pts)
-	var out []Triple
-	dirs := make([]dir, 0, n)
-	for k := 0; k < n; k++ {
-		var stop bool
-		dirs, stop = collinearObserver(pts, k, floorTol, dirs, func(a, b int, confirmable bool) bool {
-			if confirmable && confirm && !AreCollinear(pts[k], pts[a], pts[b]) {
-				return false
-			}
-			if !confirmable {
-				// Coincident pair (k, a): preserve the degenerate-triple
-				// shape with the duplicate as blocker.
-				out = append(out, Triple{A: k, B: a, Blocker: b})
-				return false
-			}
-			out = append(out, Triple{A: a, B: b, Blocker: k})
-			return maxTriples > 0 && len(out) >= maxTriples
-		})
-		if stop {
-			return out
-		}
-	}
-	return out
-}
-
-// CompleteVisibilityFast reports whether all points are distinct and
-// pairwise mutually visible, in O(n² log n). It agrees with
-// CompleteVisibility up to float tolerance; the engine's terminal
-// verification re-confirms suspicious triples with exact arithmetic.
-// Kernel.CompleteVisibilityFast is the multi-core variant with an
-// identical verdict.
-func CompleteVisibilityFast(pts []Point) bool {
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Eq(pts[j]) {
-				return false
-			}
-		}
-	}
-	// Any collinear triple implies some blocked pair (see file comment),
-	// and CV requires none.
-	return len(CollinearTriples(pts, 1)) == 0
 }

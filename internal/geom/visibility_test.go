@@ -38,9 +38,11 @@ func TestVisibleFromAndBlockers(t *testing.T) {
 			t.Fatalf("VisibleFrom = %v, want %v", vis, want)
 		}
 	}
-	bl := Blockers(pts, 0, 2)
-	if len(bl) != 1 || bl[0] != 1 {
-		t.Errorf("Blockers = %v", bl)
+	// Point 1 is the only blocker between 0 and 2.
+	for k, p := range pts {
+		if got := StrictlyBetween(pts[0], pts[2], p); got != (k == 1) {
+			t.Errorf("StrictlyBetween(0, 2, point %d) = %v", k, got)
+		}
 	}
 }
 
@@ -65,13 +67,35 @@ func TestCompleteVisibility(t *testing.T) {
 
 func TestVisibilityCountAndBlockedPairs(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0)}
-	if got := VisibilityCount(pts); got != 2 {
-		t.Errorf("VisibilityCount = %d", got)
+	if got := visiblePairs(t, pts); got != 2 {
+		t.Errorf("visible pairs = %d", got)
 	}
-	bp := BlockedPairs(pts)
-	if len(bp) != 1 || bp[0] != [2]int{0, 2} {
-		t.Errorf("BlockedPairs = %v", bp)
+	if Visible(pts, 0, 2) || !Visible(pts, 0, 1) || !Visible(pts, 1, 2) {
+		t.Error("want (0, 2) as the only blocked pair")
 	}
+}
+
+// visiblePairs counts the mutually visible pairs of pts with the Visible
+// oracle and fails t unless a 1-worker Snapshot's rows count the same.
+func visiblePairs(t *testing.T, pts []Point) int {
+	t.Helper()
+	kern := NewKernel(1)
+	defer kern.Close()
+	snap := kern.NewSnapshot()
+	snap.Reset(pts)
+	oracle, rows := 0, 0
+	for i := range pts {
+		rows += len(snap.Row(i))
+		for j := i + 1; j < len(pts); j++ {
+			if Visible(pts, i, j) {
+				oracle++
+			}
+		}
+	}
+	if rows != 2*oracle {
+		t.Fatalf("snapshot rows hold %d entries, want twice the %d visible pairs", rows, oracle)
+	}
+	return oracle
 }
 
 func TestPathClear(t *testing.T) {
@@ -97,6 +121,8 @@ func TestPathClear(t *testing.T) {
 }
 
 func TestCompleteVisibilityFastAgreesWithNaive(t *testing.T) {
+	kern := NewKernel(1)
+	defer kern.Close()
 	rng := rand.New(rand.NewSource(9))
 	agree := 0
 	for trial := 0; trial < 300; trial++ {
@@ -110,7 +136,7 @@ func TestCompleteVisibilityFastAgreesWithNaive(t *testing.T) {
 			pts[2] = pts[0].Mid(pts[1])
 		}
 		naive := CompleteVisibility(pts)
-		fast := CompleteVisibilityFast(pts)
+		fast := kern.CompleteVisibilityFast(pts)
 		if naive != fast {
 			t.Fatalf("disagreement on %v: naive=%v fast=%v", pts, naive, fast)
 		}
@@ -151,7 +177,7 @@ func TestVisibleSetFastAgreesWithNaive(t *testing.T) {
 
 func TestCollinearTriples(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0), Pt(3, 7)}
-	triples := CollinearTriples(pts, 0)
+	triples := CollinearCandidates(pts, 0)
 	if len(triples) == 0 {
 		t.Fatal("collinear triple not detected")
 	}
@@ -166,7 +192,7 @@ func TestCollinearTriples(t *testing.T) {
 	if !found {
 		t.Errorf("middle point absent from triples %v", triples)
 	}
-	if got := CollinearTriples([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
+	if got := CollinearCandidates([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
 		t.Errorf("triangle produced triples %v", got)
 	}
 }

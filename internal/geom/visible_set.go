@@ -146,7 +146,7 @@ func sortRaysCmp(rays []ray) {
 // visibleRow computes the visible set of pts[i] into out (which is
 // truncated and appended to, so callers can reuse its backing array) and
 // returns it, sorted by index. It is the single implementation behind
-// VisibleSetFast, RowCache and the batched Kernel: identical inputs give
+// VisibleSetFast and the Kernel's Snapshot: identical inputs give
 // identical outputs regardless of which entry point or arena is used.
 func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 	self := pts[i]
@@ -299,27 +299,9 @@ func emitMask(mask []byte, out []int) []int {
 // Coincident points (violating the model's distinctness invariant) are
 // treated as mutually invisible, matching Visible.
 //
-// Each call allocates its own scratch; hot paths should use a RowCache
-// or a Kernel Snapshot, which reuse arenas across calls.
+// Each call allocates its own scratch; hot paths should use a Kernel
+// Snapshot, which reuses its arenas across calls.
 func VisibleSetFast(pts []Point, i int) []int {
 	var a rowArena
 	return a.visibleRow(pts, i, nil)
-}
-
-// RowCache computes single visibility rows with reusable buffers: after
-// the first call the returned slice and all internal scratch are
-// recycled, so a warm cache computes rows without allocating. The result
-// of VisibleSet is valid until the next call and must not be retained or
-// mutated. A RowCache is not goroutine-safe; use one per goroutine (the
-// concurrent runtime keeps one per robot).
-type RowCache struct {
-	a   rowArena
-	out []int
-}
-
-// VisibleSet returns the visible set of pts[i], identical to
-// VisibleSetFast(pts, i), reusing the cache's buffers.
-func (c *RowCache) VisibleSet(pts []Point, i int) []int {
-	c.out = c.a.visibleRow(pts, i, c.out)
-	return c.out
 }

@@ -83,7 +83,7 @@ func TestVisibleSetFastNegativeXAxis(t *testing.T) {
 // accepted as collinear by AreCollinear (cross 5e-10 ≤ its scaled
 // tolerance) while their direction gap, 0.025 rad, is four orders of
 // magnitude above the old fixed folding tolerance — so the pre-fix
-// CollinearTriples missed the triple and CompleteVisibilityFast
+// collinear scan missed the triple and CompleteVisibilityFast
 // contradicted CompleteVisibility.
 func TestCompleteVisibilityFastLargeCoordinates(t *testing.T) {
 	k := geom.Pt(1e4, 1e4)
@@ -95,11 +95,13 @@ func TestCompleteVisibilityFastLargeCoordinates(t *testing.T) {
 	if geom.CompleteVisibility(pts) {
 		t.Fatalf("fixture is broken: the O(n³) reference should reject %v", pts)
 	}
-	if geom.CompleteVisibilityFast(pts) {
+	kern := geom.NewKernel(1)
+	defer kern.Close()
+	if kern.CompleteVisibilityFast(pts) {
 		t.Fatalf("CompleteVisibilityFast(%v) = true, but point 1 blocks point 2 from point 0", pts)
 	}
-	if len(geom.CollinearTriples(pts, 0)) == 0 {
-		t.Fatalf("CollinearTriples(%v) found nothing, want the (1, 2, blocker 0) line", pts)
+	if len(geom.CollinearCandidates(pts, 0)) == 0 {
+		t.Fatalf("CollinearCandidates(%v) found nothing, want the (1, 2, blocker 0) line", pts)
 	}
 	for i := range pts {
 		fast := geom.VisibleSetFast(pts, i)

@@ -10,8 +10,10 @@ import (
 // This file implements the batched visibility kernel: a worker pool with
 // per-worker arenas that computes all n visible sets of a configuration
 // in one parallel pass, an incrementally-maintained Snapshot that reuses
-// rows across single-robot moves (the common ASYNC case), and a parallel
-// variant of the Complete Visibility check. All row computation funnels
+// rows across single-robot moves (the common ASYNC case), and the float
+// Complete Visibility check (fanned out across workers on a multi-worker
+// kernel, serial on a 1-worker one). Snapshot.Row serves every Look of
+// the engine and the concurrent runtime. All row computation funnels
 // through rowArena.visibleRow, so kernel results are identical — not just
 // equivalent — to VisibleSetFast.
 
@@ -192,11 +194,15 @@ func (k *Kernel) cvScan(a *kernelArena, pts []Point, start, step int) {
 	}
 }
 
-// CompleteVisibilityFast is the parallel variant of the package-level
-// CompleteVisibilityFast with an identical verdict: both report
-// distinctness plus the absence of any confirmed collinear triple, and
-// the per-observer scan is the same code for both. Small inputs run
-// serially on the caller's goroutine (still allocation-free once warm).
+// CompleteVisibilityFast reports whether all points are distinct and
+// pairwise mutually visible, in O(n² log n): distinctness plus the
+// absence of any collinear triple confirmed by AreCollinear (any such
+// triple has a blocked pair, and CV requires none). It agrees with
+// CompleteVisibility up to float tolerance; the engine's terminal
+// verification re-decides with exact arithmetic. The verdict does not
+// depend on the worker count. Small inputs, and every input on a
+// 1-worker kernel, run serially on the caller's goroutine (still
+// allocation-free once warm).
 func (k *Kernel) CompleteVisibilityFast(pts []Point) bool {
 	k.cvFound.Store(false)
 	if len(pts) < kernelMinParallel || k.workers <= 1 {

@@ -25,8 +25,11 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{64, 256} { // below and above the parallel threshold
-		kern := geom.NewKernel(4)
+	// 4 workers below and above the parallel threshold, and the 1-worker
+	// kernel the concurrent runtime uses.
+	for _, c := range []struct{ workers, n int }{{4, 64}, {4, 256}, {1, 256}} {
+		n := c.n
+		kern := geom.NewKernel(c.workers)
 		defer kern.Close()
 		snap := kern.NewSnapshot()
 		pts := make([]geom.Point, n)
@@ -58,24 +61,4 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 			_ = kern.CompleteVisibilityFast(pts)
 		})
 	}
-}
-
-func TestRowCacheZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	rng := rand.New(rand.NewSource(5))
-	pts := make([]geom.Point, 100)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-	}
-	var cache geom.RowCache
-	for i := range pts {
-		_ = cache.VisibleSet(pts, i) // warm
-	}
-	assertZeroAllocs(t, "RowCache.VisibleSet", func() {
-		for i := range pts {
-			_ = cache.VisibleSet(pts, i)
-		}
-	})
 }

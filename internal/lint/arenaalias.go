@@ -8,15 +8,14 @@ import (
 
 // ArenaAlias enforces the memory discipline that PR 5's zero-allocation
 // visibility kernel turned into a correctness property: the slices
-// handed out by geom.Snapshot.Row and geom.RowCache.VisibleSet alias
-// reusable arenas, so a retained row silently changes under its holder
-// the moment the arena is rewritten — and a corrupted Look snapshot is
-// exactly the failure the paper's ASYNC argument cannot survive. The
-// rule mirrors the documented kernel contract: an arena row may only be
-// read, in the frame that obtained it, before the snapshot is next
-// touched (Update/Reset/Row/ComputeAll, or the next RowCache call). It
-// must not be stored in a struct, global or composite value, sent on a
-// channel, or written through.
+// handed out by geom.Snapshot.Row alias a reusable arena, so a retained
+// row silently changes under its holder the moment the arena is
+// rewritten — and a corrupted Look snapshot is exactly the failure the
+// paper's ASYNC argument cannot survive. The rule mirrors the documented
+// kernel contract: an arena row may only be read, in the frame that
+// obtained it, before the snapshot is next touched
+// (Update/Reset/Row/ComputeAll). It must not be stored in a struct,
+// global or composite value, sent on a channel, or written through.
 //
 // The analyzer runs the engine's per-function dataflow pass to find
 // every local that may hold an arena row — including rows laundered
@@ -39,7 +38,7 @@ func (ArenaAlias) Name() string { return "arenaalias" }
 
 // Doc implements Analyzer.
 func (ArenaAlias) Doc() string {
-	return "kernel arena rows (Snapshot.Row, RowCache.VisibleSet) must not be retained, sent, mutated, or read after invalidation"
+	return "kernel arena rows (Snapshot.Row) must not be retained, sent, mutated, or read after invalidation"
 }
 
 // Check implements Analyzer.
@@ -145,8 +144,8 @@ func isFrameLocalTarget(p *Package, lhs ast.Expr) bool {
 // staleReads flags uses of a tainted row after a snapshot-invalidating
 // call in the same frame, in source-position order: between the row's
 // defining statement and the use there must be no Update/Reset/Row/
-// ComputeAll on a Snapshot, no RowCache.VisibleSet, and no call to an
-// arena-returning wrapper (which performs one of those inside).
+// ComputeAll on a Snapshot and no call to an arena-returning wrapper
+// (which performs one of those inside).
 func (a ArenaAlias) staleReads(p *Package, m *Module, name string, frame ast.Node, st *taintState) []Finding {
 	var invalidators []token.Pos
 	inspectFrame(frame, func(n ast.Node) bool {
@@ -194,7 +193,7 @@ func (a ArenaAlias) staleReads(p *Package, m *Module, name string, frame ast.Nod
 
 // isArenaInvalidator reports whether call touches a kernel snapshot in
 // a way that may rewrite outstanding rows: geom.Snapshot's Update,
-// Reset, Row or ComputeAll, or geom.RowCache's VisibleSet.
+// Reset, Row or ComputeAll.
 func isArenaInvalidator(p *Package, call *ast.CallExpr) bool {
 	fn := p.StaticCallee(call)
 	if fn == nil || fn.Pkg() == nil {
@@ -216,14 +215,12 @@ func isArenaInvalidator(p *Package, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	switch named.Obj().Name() {
-	case "Snapshot":
-		switch fn.Name() {
-		case "Update", "Reset", "Row", "ComputeAll":
-			return true
-		}
-	case "RowCache":
-		return fn.Name() == "VisibleSet"
+	if named.Obj().Name() != "Snapshot" {
+		return false
+	}
+	switch fn.Name() {
+	case "Update", "Reset", "Row", "ComputeAll":
+		return true
 	}
 	return false
 }

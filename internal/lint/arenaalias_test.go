@@ -65,12 +65,6 @@ func stale(s *geom.Snapshot) int32 {
 	return v[0] // want
 }
 
-func staleViaCache(c *geom.RowCache, s *geom.Snapshot) int32 {
-	v := c.VisibleSet(geom.Point{}, 0)
-	w := c.VisibleSet(geom.Point{}, 1)
-	return v[0] + w[0] // want
-}
-
 func fresh(s *geom.Snapshot) int32 {
 	v := s.Row(0)
 	x := v[0]

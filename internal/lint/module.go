@@ -53,9 +53,8 @@ type FuncSummary struct {
 	// Consumed by detsource.
 	Nondet *Reach
 	// ArenaReturn marks functions whose return value aliases a
-	// kernel-arena visibility row (geom.Snapshot.Row, geom.RowCache
-	// VisibleSet, or any wrapper returning their result). Consumed by
-	// arenaalias.
+	// kernel-arena visibility row (geom.Snapshot.Row, or any wrapper
+	// returning its result). Consumed by arenaalias.
 	ArenaReturn bool
 	// SinkParams holds the parameter indices whose values reach a JSON
 	// sink (json.Marshal / Encoder.Encode, directly or through further
@@ -396,9 +395,9 @@ func ctxParamIndex(fn *types.Func) int {
 	return -1
 }
 
-// isArenaRoot identifies the kernel's arena-returning methods by
-// identity: (geom.Snapshot).Row and (geom.RowCache).VisibleSet hand out
-// slices into reusable arenas, which is the whole arenaalias contract.
+// isArenaRoot identifies the kernel's arena-returning method by
+// identity: (geom.Snapshot).Row hands out slices into a reusable arena,
+// which is the whole arenaalias contract.
 func isArenaRoot(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
@@ -419,13 +418,7 @@ func isArenaRoot(fn *types.Func) bool {
 	if !ok {
 		return false
 	}
-	switch named.Obj().Name() {
-	case "Snapshot":
-		return fn.Name() == "Row"
-	case "RowCache":
-		return fn.Name() == "VisibleSet"
-	}
-	return false
+	return named.Obj().Name() == "Snapshot" && fn.Name() == "Row"
 }
 
 // arenaSourceCall reports whether call yields an arena-aliasing slice:

@@ -69,8 +69,8 @@ func assertIntraSilent(t *testing.T, specs []pkgSpec, a lint.Analyzer, targetFil
 }
 
 // geomFixture mimics the kernel's arena-handing API shape at the geom
-// import path, so isArenaRoot identifies Row and VisibleSet by the same
-// (package, receiver, method) identity it uses on the real kernel.
+// import path, so isArenaRoot identifies Row by the same (package,
+// receiver, method) identity it uses on the real kernel.
 const geomFixture = `package geom
 
 type Point struct{ X, Y float64 }
@@ -80,10 +80,6 @@ type Snapshot struct{ rows [][]int32 }
 func (s *Snapshot) Row(i int) []int32     { return s.rows[i] }
 func (s *Snapshot) Update(i int, p Point) {}
 func (s *Snapshot) Reset(n int)           {}
-
-type RowCache struct{ out []int32 }
-
-func (c *RowCache) VisibleSet(p Point, id int) []int32 { return c.out }
 `
 
 // TestLockSafeCrossPackage: a blocking operation two packages away is

@@ -71,18 +71,6 @@ func PeelDepth(pts []geom.Point) int {
 	return depth
 }
 
-// VisibilityDensity returns the fraction of robot pairs that are
-// mutually visible, in [0, 1]; 1 means Complete Visibility. Singleton
-// and empty configurations are fully visible by convention.
-func VisibilityDensity(pts []geom.Point) float64 {
-	n := len(pts)
-	if n < 2 {
-		return 1
-	}
-	pairs := n * (n - 1) / 2
-	return float64(geom.VisibilityCount(pts)) / float64(pairs)
-}
-
 // RunStats aggregates a batch of engine results for one experiment cell
 // (one algorithm, one scheduler, one N, many seeds).
 type RunStats struct {

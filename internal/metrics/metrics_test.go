@@ -51,20 +51,6 @@ func TestPeelDepth(t *testing.T) {
 	}
 }
 
-func TestVisibilityDensity(t *testing.T) {
-	if got := VisibilityDensity(nil); got != 1 {
-		t.Errorf("empty density = %v", got)
-	}
-	tri := []geom.Point{geom.Pt(0, 0), geom.Pt(8, 0), geom.Pt(4, 8)}
-	if got := VisibilityDensity(tri); got != 1 {
-		t.Errorf("triangle density = %v", got)
-	}
-	line := []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(10, 0)}
-	if got := VisibilityDensity(line); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("line density = %v", got)
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	results := []sim.Result{
 		{N: 10, Reached: true, Epochs: 5, FirstCVEpoch: 3, Moves: 20, TotalDist: 100, ColorsUsed: 5},

@@ -88,6 +88,9 @@ type world struct {
 	mu  sync.Mutex
 	pos []geom.Point
 	col []model.Color
+	// vis holds every robot's visibility row over pos. Positions change
+	// only through moveLocked, which keeps it in step.
+	vis *geom.Snapshot
 
 	// changeSeq increments on every observable change (position or
 	// color); robots record the sequence at Look so the monitor can
@@ -103,6 +106,36 @@ type world struct {
 	// crashed[i] marks robots halted by a crash fault; their goroutines
 	// have exited and they are frozen scenery from then on.
 	crashed []bool
+}
+
+// newWorld returns the world at the start configuration, its visibility
+// rows held in a snapshot of kern.
+func newWorld(kern *geom.Kernel, start []geom.Point) *world {
+	n := len(start)
+	pos := append([]geom.Point(nil), start...)
+	vis := kern.NewSnapshot()
+	vis.Reset(pos)
+	cleanLookSeq := make([]uint64, n)
+	for i := range cleanLookSeq {
+		cleanLookSeq[i] = ^uint64(0) // never looked
+	}
+	return &world{
+		pos:          pos,
+		col:          make([]model.Color, n),
+		vis:          vis,
+		cleanLookSeq: cleanLookSeq,
+		inFlight:     make([]bool, n),
+		cycles:       make([]int, n),
+		crashed:      make([]bool, n),
+	}
+}
+
+// moveLocked places robot id at p; the caller holds w.mu. It is the only
+// position write, so the visibility snapshot never goes stale.
+func (w *world) moveLocked(id int, p geom.Point) {
+	w.pos[id] = p
+	w.vis.Update(id, p)
+	w.changeSeq++
 }
 
 // Run executes algo from start with one goroutine per robot and returns
@@ -153,17 +186,11 @@ func RunCtx(parent context.Context, algo model.Algorithm, start []geom.Point, op
 			opt.SensorJitter)
 	}
 
-	w := &world{
-		pos:          append([]geom.Point(nil), start...),
-		col:          make([]model.Color, n),
-		cleanLookSeq: make([]uint64, n),
-		inFlight:     make([]bool, n),
-		cycles:       make([]int, n),
-		crashed:      make([]bool, n),
-	}
-	for i := range w.cleanLookSeq {
-		w.cleanLookSeq[i] = ^uint64(0) // never looked
-	}
+	// One worker: Looks run serially under the world lock, so the
+	// kernel never spawns a pool.
+	kern := geom.NewKernel(1)
+	defer kern.Close()
+	w := newWorld(kern, start)
 
 	ctx, cancel := context.WithTimeout(parent, opt.MaxWall)
 	defer cancel()
@@ -233,9 +260,6 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 			return true
 		}
 	}
-	// Per-robot row cache: Look computes its visibility row under the
-	// world lock without allocating once the cache is warm.
-	var rc geom.RowCache
 	crashAfter, hasCrash := -1, false
 	if after, ok := opt.CrashAfterCycles[id]; ok {
 		crashAfter, hasCrash = after, true
@@ -277,7 +301,7 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 		// Look.
 		w.mu.Lock()
 		lookSeq := w.changeSeq
-		snap := snapshotLocked(w, id, &rc)
+		snap := snapshotLocked(w, id)
 		w.mu.Unlock()
 		if jrng != nil {
 			// Sensor error: lie to Compute about where the others are;
@@ -313,8 +337,7 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 					return
 				}
 				w.mu.Lock()
-				w.pos[id] = from.Lerp(act.Target, float64(s)/float64(opt.SubSteps))
-				w.changeSeq++
+				w.moveLocked(id, from.Lerp(act.Target, float64(s)/float64(opt.SubSteps)))
 				w.mu.Unlock()
 			}
 		}
@@ -338,12 +361,13 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 	}
 }
 
-// snapshotLocked builds robot id's obstructed-visibility snapshot using
-// the robot's own row cache; the caller holds w.mu. Pure computation —
-// no channel operations or callbacks — so it is locksafe-clean under
-// the world lock.
-func snapshotLocked(w *world, id int, rc *geom.RowCache) model.Snapshot {
-	vis := rc.VisibleSet(w.pos, id)
+// snapshotLocked builds robot id's obstructed-visibility snapshot from
+// its row of the world's visibility snapshot, copied out before the lock
+// is released; the caller holds w.mu. Pure computation — no channel
+// operations or callbacks (the 1-worker kernel never dispatches) — so it
+// is locksafe-clean under the world lock.
+func snapshotLocked(w *world, id int) model.Snapshot {
+	vis := w.vis.Row(id)
 	others := make([]model.RobotView, len(vis))
 	for k, j := range vis {
 		others[k] = model.RobotView{Pos: w.pos[j], Color: w.col[j]}

@@ -573,48 +573,59 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		key:    key,
 		done:   make(chan struct{}),
 		server: s,
-		run: func(ctx context.Context) (*RunSummary, error) {
-			c := req.canonical()
-			pts := config.Generate(fam, c.N, c.Seed)
-			opt := sim.DefaultOptions(scheduler, c.Seed)
-			opt.MaxEpochs = c.MaxEpochs
-			opt.NonRigid = c.NonRigid
-			if c.NonRigid {
-				opt.MinMoveFrac = c.MinMoveFrac
-			}
-			opt.SkipSafetyChecks = c.SkipChecks
-			// Lifetime engine totals for /metrics plus a per-run epoch
-			// tracker for /debug/runs; both are lock-free on the engine
-			// side.
-			entry := s.runs.add(req, string(fam))
-			defer s.runs.remove(entry.id)
-			opt.Observer = obs.Multi(s.totals, entry.observer())
-			res, err := sim.RunCtx(ctx, algo, pts, opt)
-			if err != nil {
-				return nil, err
-			}
-			return &RunSummary{
-				Algorithm:     res.Algorithm,
-				Scheduler:     res.Scheduler,
-				Family:        string(fam),
-				N:             res.N,
-				Seed:          res.Seed,
-				NonRigid:      req.NonRigid,
-				Reached:       res.Reached,
-				Epochs:        res.Epochs,
-				FirstCVEpoch:  res.FirstCVEpoch,
-				Events:        res.Events,
-				Cycles:        res.Cycles,
-				Moves:         res.Moves,
-				TotalDist:     res.TotalDist,
-				ColorsUsed:    res.ColorsUsed,
-				Collisions:    res.Collisions,
-				PathCrossings: res.PathCrossings,
-				MinPairDist:   res.MinPairDist,
-			}, nil
-		},
+		run:    s.runJob(req, algo, scheduler, fam, nil, nil),
 	}
 	s.dispatch(w, j)
+}
+
+// runJob returns the body of a run job: the engine runs req with the
+// server's lifetime totals, a /debug/runs entry and extra (nil for none)
+// observing, and the Result is mapped to a RunSummary. onStart, when
+// non-nil, runs first on the worker.
+func (s *Server) runJob(req RunRequest, algo model.Algorithm, scheduler sched.Scheduler, fam config.Family,
+	extra sim.Observer, onStart func()) func(context.Context) (*RunSummary, error) {
+	return func(ctx context.Context) (*RunSummary, error) {
+		if onStart != nil {
+			onStart()
+		}
+		c := req.canonical()
+		pts := config.Generate(fam, c.N, c.Seed)
+		opt := sim.DefaultOptions(scheduler, c.Seed)
+		opt.MaxEpochs = c.MaxEpochs
+		opt.NonRigid = c.NonRigid
+		if c.NonRigid {
+			opt.MinMoveFrac = c.MinMoveFrac
+		}
+		opt.SkipSafetyChecks = c.SkipChecks
+		// Lifetime engine totals for /metrics plus a per-run epoch
+		// tracker for /debug/runs; both are lock-free on the engine side.
+		entry := s.runs.add(req, string(fam))
+		defer s.runs.remove(entry.id)
+		opt.Observer = obs.Multi(s.totals, entry.observer(), extra)
+		res, err := sim.RunCtx(ctx, algo, pts, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &RunSummary{
+			Algorithm:     res.Algorithm,
+			Scheduler:     res.Scheduler,
+			Family:        string(fam),
+			N:             res.N,
+			Seed:          res.Seed,
+			NonRigid:      req.NonRigid,
+			Reached:       res.Reached,
+			Epochs:        res.Epochs,
+			FirstCVEpoch:  res.FirstCVEpoch,
+			Events:        res.Events,
+			Cycles:        res.Cycles,
+			Moves:         res.Moves,
+			TotalDist:     res.TotalDist,
+			ColorsUsed:    res.ColorsUsed,
+			Collisions:    res.Collisions,
+			PathCrossings: res.PathCrossings,
+			MinPairDist:   res.MinPairDist,
+		}, nil
+	}
 }
 
 // ExperimentRequest is the /v1/experiment request body.

@@ -15,9 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"luxvis/internal/config"
-	"luxvis/internal/obs"
-	"luxvis/internal/sim"
 	"luxvis/internal/stream"
 )
 
@@ -249,44 +246,7 @@ func (s *Server) handleRunsCreate(w http.ResponseWriter, r *http.Request) {
 		key:    req.cacheKey(),
 		done:   make(chan struct{}),
 		server: s,
-		run: func(ctx context.Context) (*RunSummary, error) {
-			sr.setRunning()
-			c := req.canonical()
-			pts := config.Generate(fam, c.N, c.Seed)
-			opt := sim.DefaultOptions(scheduler, c.Seed)
-			opt.MaxEpochs = c.MaxEpochs
-			opt.NonRigid = c.NonRigid
-			if c.NonRigid {
-				opt.MinMoveFrac = c.MinMoveFrac
-			}
-			opt.SkipSafetyChecks = c.SkipChecks
-			entry := s.runs.add(req, string(fam))
-			defer s.runs.remove(entry.id)
-			opt.Observer = obs.Multi(s.totals, entry.observer(), hub)
-			res, err := sim.RunCtx(ctx, algo, pts, opt)
-			if err != nil {
-				return nil, err
-			}
-			return &RunSummary{
-				Algorithm:     res.Algorithm,
-				Scheduler:     res.Scheduler,
-				Family:        string(fam),
-				N:             res.N,
-				Seed:          res.Seed,
-				NonRigid:      req.NonRigid,
-				Reached:       res.Reached,
-				Epochs:        res.Epochs,
-				FirstCVEpoch:  res.FirstCVEpoch,
-				Events:        res.Events,
-				Cycles:        res.Cycles,
-				Moves:         res.Moves,
-				TotalDist:     res.TotalDist,
-				ColorsUsed:    res.ColorsUsed,
-				Collisions:    res.Collisions,
-				PathCrossings: res.PathCrossings,
-				MinPairDist:   res.MinPairDist,
-			}, nil
-		},
+		run:    s.runJob(req, algo, scheduler, fam, hub, sr.setRunning),
 	}
 	if err := s.submitTracked(j); err != nil {
 		cancel()

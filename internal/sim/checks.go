@@ -43,8 +43,8 @@ func (e *engine) quiescent() bool {
 
 // cvNow evaluates Complete Visibility on the current world, cached per
 // world version so the O(n² log n) check runs at most once per change.
-// The kernel variant fans the per-observer scan across workers on
-// multi-core hosts; its verdict is identical to CompleteVisibilityFast.
+// The kernel fans the per-observer scan across workers on multi-core
+// hosts; its verdict does not depend on the worker count.
 func (e *engine) cvNow() bool {
 	if e.cvCacheAt != e.lastChange {
 		e.cvCacheAt = e.lastChange

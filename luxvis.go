@@ -71,9 +71,10 @@ func CompleteVisibility(pts []Point) bool { return exact.CompleteVisibilityHybri
 func StrictlyConvexPosition(pts []Point) bool { return geom.StrictlyConvexPosition(pts) }
 
 // VisibleSet returns the indices of the robots visible from pts[i]
-// under obstructed visibility, in O(n log n). For hot loops prefer a
-// RowCache or a VisibilityKernel snapshot, which compute identical rows
-// without allocating.
+// under obstructed visibility, in O(n log n), computing the row from
+// scratch. For an evolving configuration prefer a VisibilitySnapshot,
+// which computes identical rows without allocating and reuses the rows a
+// move cannot affect.
 func VisibleSet(pts []Point, i int) []int { return geom.VisibleSetFast(pts, i) }
 
 // ---------------------------------------------------------------------
@@ -99,11 +100,6 @@ type VisibilitySnapshot = geom.Snapshot
 // VisibilitySnapshotStats reports a snapshot's computed-versus-reused
 // row counters.
 type VisibilitySnapshotStats = geom.SnapshotStats
-
-// RowCache computes single visibility rows with reusable buffers — the
-// zero-allocation single-observer counterpart of a kernel snapshot (one
-// per goroutine; the concurrent runtime keeps one per robot).
-type RowCache = geom.RowCache
 
 // KernelStats summarizes the visibility kernel's work during an engine
 // run (see Result.Kernel).
