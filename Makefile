@@ -24,13 +24,14 @@ vet:
 	$(GO) vet ./...
 
 ## race: the concurrent runtime (one goroutine per robot), the engine,
-## the HTTP service, the observability layer, the stream hub and the
-## parallel visibility kernel under the race detector. The engine and
+## the HTTP service, the observability layer, the stream hub, the
+## parallel visibility kernel and LogVis (concurrent Computes on pooled
+## scratch) under the race detector. The engine and
 ## obs packages run at -cpu 1,4: one proc computes inline; with four,
 ## the sim tests (which lower the 96-robot pipelining floor to 1)
 ## pipeline Compute on the engine's worker pool.
 race:
-	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/...
+	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/... ./internal/core/...
 	$(GO) test -race -cpu 1,4 ./internal/sim/... ./internal/obs/...
 
 ## bench-smoke: every benchmark compiles and completes one iteration
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentCross$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSnapshotUpdate$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSlotUsable$$' -fuzztime 15s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 15s
 	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzOrientFilter$$' -fuzztime 15s
 

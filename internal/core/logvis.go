@@ -18,7 +18,7 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"luxvis/internal/geom"
 	"luxvis/internal/model"
@@ -106,9 +106,15 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 		return model.Stay(self, model.Corner)
 	}
 
-	pts := s.Points()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	pts := append(sc.pts[:0], self)
+	for _, o := range s.Others {
+		pts = append(pts, o.Pos)
+	}
+	sc.pts = pts
 	if geom.AllCollinear(pts) {
-		return a.computeOnLine(s)
+		return a.computeOnLine(s, pts)
 	}
 
 	hull := geom.ConvexHull(pts)
@@ -116,11 +122,29 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 	case geom.HullCorner:
 		return a.computeCorner(s)
 	case geom.HullEdge:
-		return a.computeSide(s, hull)
+		return a.computeSide(s, hull, pts[1:])
 	default:
-		return a.computeInterior(s)
+		return a.computeInterior(s, sc)
 	}
 }
+
+// scratch is one Compute's reusable working memory. The engine runs
+// Computes concurrently, so each call borrows its own from scratchPool
+// and nothing in it outlives the call.
+type scratch struct {
+	// pts is self followed by every visible robot, the order of
+	// Snapshot.Points; pts[1:] is Snapshot.OtherPoints.
+	pts     []geom.Point
+	beacons []geom.Point
+	slots   []slot
+	// boundaryRing's buffers.
+	byAngle     []beaconAngle
+	cornerAngle []float64
+	cornerOrder []int
+	ring        []geom.Point
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // computeOnLine handles the degenerate case in which the robot's entire
 // view is collinear — which, by the visibility lemma (checked by geom's
@@ -128,9 +152,8 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 // collinear. Extremes hold as corners; inner robots step off the
 // line perpendicularly by a quarter of their nearest gap. Endpoints stay
 // on the original line, so after one epoch the swarm is non-collinear.
-func (a *LogVis) computeOnLine(s model.Snapshot) model.Action {
+func (a *LogVis) computeOnLine(s model.Snapshot, pts []geom.Point) model.Action {
 	self := s.Self.Pos
-	pts := s.Points()
 	lo, hi := geom.LineExtremes(pts)
 	if pts[lo].Eq(self) || pts[hi].Eq(self) {
 		return model.Stay(self, model.Corner)
@@ -167,7 +190,7 @@ func (a *LogVis) computeCorner(s model.Snapshot) model.Action {
 // smallest relevant gap, becoming a strict corner of the grown hull.
 // Side robots bulge concurrently: their outward paths are parallel
 // normals from distinct base points, so they cannot cross.
-func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull) model.Action {
+func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull, others []geom.Point) model.Action {
 	self := s.Self.Pos
 	ea, eb, ok := hull.EdgeOf(self)
 	if !ok {
@@ -204,7 +227,7 @@ func (a *LogVis) computeSide(s model.Snapshot, hull geom.Hull) model.Action {
 	}
 	h := gap * a.bulgeFrac()
 	target := self.Add(outward.Mul(h))
-	if !geom.PathClear(self, target, s.OtherPoints(), h*a.corridorFrac()) {
+	if !geom.PathClear(self, target, others, h*a.corridorFrac()) {
 		return model.Stay(self, model.Side)
 	}
 	return model.MoveTo(target, model.Beacon)
@@ -231,8 +254,9 @@ func (a *LogVis) outwardNormal(s model.Snapshot, ea, eb geom.Point) (geom.Point,
 // slot is a candidate landing interval for Interior Depletion: an empty
 // stretch of a hull edge between two visible beacons.
 type slot struct {
-	u, v geom.Point // beacon positions, interval endpoints
-	dist float64    // distance from the robot to the interval segment
+	u, v  geom.Point // beacon positions, interval endpoints
+	dist  float64    // distance from the robot to the interval segment
+	chord float64    // |uv|
 }
 
 // computeInterior handles a robot strictly inside the hull: Interior
@@ -244,20 +268,32 @@ type slot struct {
 // apart; the Transit light plus a projection guard serializes landings
 // per interval, which is exactly the one-landing-per-interval-per-epoch
 // discipline whose doubling yields O(log N).
-func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
+func (a *LogVis) computeInterior(s model.Snapshot, sc *scratch) model.Action {
 	self := s.Self.Pos
-	slots := a.candidateSlots(s)
+	slots := a.candidateSlots(s, sc)
 	if len(slots) == 0 {
 		return model.Stay(self, model.Interior)
 	}
-	slices.SortFunc(slots, compareSlots)
 	// Bound the work per cycle: try the nearest few intervals and, if
-	// all are busy or unreachable, wait for the next cycle. The
-	// structural and corridor checks are O(V) each, so this keeps a
-	// Compute at O(V log V).
-	others := s.OtherPoints()
-	baseMargin := s.NearestDist() * a.corridorFrac()
-	diam := a.landingDiam(s)
+	// all are busy or unreachable, wait for the next cycle. The slots
+	// come off a heap in compareSlots order, and the structural and
+	// corridor checks are O(V) each, so a Compute that tries k of S
+	// slots costs O(S + k·(log S + V)) beyond candidateSlots.
+	order := slotOrder{slots: slots}
+	order.heapify()
+	others := sc.pts[1:]
+	nearest := s.NearestDist()
+	baseMargin := nearest * a.corridorFrac()
+	// The bounding box of self ∪ snapshot gives slotUsable's band and
+	// the visible diameter the landing sagitta scales against (0 under
+	// AblateConstantSagitta, which disables the quadratic law, so the
+	// cap fraction applies).
+	lo, hi := geom.BoundingBox(sc.pts)
+	band := orientBand((hi.X - lo.X) + (hi.Y - lo.Y))
+	diam := 0.0
+	if !a.AblateConstantSagitta {
+		diam = hi.Sub(lo).Norm()
+	}
 	// Two passes. First, local landings: slots whose perpendicular slab
 	// (with slack) contains the robot and that are at most a few chord
 	// lengths away. Local approach paths are short and near-
@@ -271,17 +307,14 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 	// launches only when no in-flight lander is visible at all and this
 	// robot is the uncontested nearest claimant of the slot, and it
 	// advances in bounded hops so its active motion segments stay short.
-	nearestSlot := slots[0].dist
+	nearestSlot := order.at(0).dist
 	for _, local := range []bool{true, false} {
-		tries := 0
 		maxTries := 8
 		if !local {
 			maxTries = 64
 		}
-		for _, sl := range slots {
-			if tries++; tries > maxTries {
-				break
-			}
+		for i := 0; i < maxTries && i < len(slots); i++ {
+			sl := order.at(i)
 			if !local && sl.dist > 1.5*nearestSlot+geom.Eps {
 				// Remote motion stays radial: only intervals about as
 				// close as the closest one are eligible, so long
@@ -291,12 +324,12 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 				break
 			}
 			_, t := geom.ProjectOntoLine(sl.u, sl.v, self)
-			chord := sl.u.Dist(sl.v)
+			chord := sl.chord
 			isLocal := t >= -0.25 && t <= 1.25 && sl.dist <= 4*chord
 			if local != isLocal {
 				continue
 			}
-			if !a.slotUsable(self, sl.u, sl.v, s.Others) {
+			if !a.slotUsable(self, sl.u, sl.v, s.Others, band) {
 				continue
 			}
 			// A robot farther than one hop from its landing point is
@@ -307,7 +340,7 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 			// in parallel, which is what keeps the deep-interior tail
 			// from serializing — only the final landing hop claims the
 			// interval (contest + Transit guard).
-			hop := math.Max(2*chord, 8*s.NearestDist())
+			hop := math.Max(2*chord, 8*nearest)
 			rawTarget, ok := a.landingPoint(s, sl, diam)
 			if !ok {
 				continue
@@ -344,7 +377,7 @@ func (a *LogVis) computeInterior(s model.Snapshot) model.Action {
 
 // compareSlots orders candidate slots by distance, then chord length,
 // then lexicographic anchors, so a robot's preference order is total and
-// deterministic.
+// deterministic: only slots with == distances, chords and anchors tie.
 func compareSlots(a, b slot) int {
 	switch {
 	case a.dist < b.dist:
@@ -352,11 +385,10 @@ func compareSlots(a, b slot) int {
 	case a.dist > b.dist:
 		return 1
 	}
-	la, lb := a.u.Dist(a.v), b.u.Dist(b.v)
 	switch {
-	case la < lb:
+	case a.chord < b.chord:
 		return -1
-	case la > lb:
+	case a.chord > b.chord:
 		return 1
 	}
 	switch {
@@ -370,6 +402,53 @@ func compareSlots(a, b slot) int {
 		return 1
 	}
 	return 0
+}
+
+// slotOrder hands out slots in compareSlots order without sorting them
+// all: a Compute visits at most 64 and usually a handful, so it keeps a
+// binary min-heap in slots[:len(slots)-popped] and pops on demand. Each
+// pop moves the heap's minimum to the end, so the i-th smallest slot
+// lands at slots[len(slots)-1-i]. Because compareSlots is a total order
+// up to identical slots, the sequence is the one a full sort gives.
+type slotOrder struct {
+	slots  []slot
+	popped int
+}
+
+func (o *slotOrder) heapify() {
+	for i := len(o.slots)/2 - 1; i >= 0; i-- {
+		o.down(i, len(o.slots))
+	}
+}
+
+// at returns the i-th slot in compareSlots order; i < len(o.slots).
+func (o *slotOrder) at(i int) slot {
+	for o.popped <= i {
+		n := len(o.slots) - o.popped
+		o.slots[0], o.slots[n-1] = o.slots[n-1], o.slots[0]
+		o.down(0, n-1)
+		o.popped++
+	}
+	return o.slots[len(o.slots)-1-i]
+}
+
+// down sifts slots[i] down the heap slots[:n].
+func (o *slotOrder) down(i, n int) {
+	h := o.slots
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && compareSlots(h[c+1], h[c]) < 0 {
+			c++
+		}
+		if compareSlots(h[c], h[i]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // slotContested reports whether a visible competitor has a better claim
@@ -409,15 +488,18 @@ func (a *LogVis) slotContested(s model.Snapshot, sl slot) bool {
 // visible beacons along the boundary of the visible-beacon hull. Beacons
 // occupy the hull boundary, so ordering them by angle around the beacon
 // hull's centroid (a convex-boundary point has a unique centroid angle)
-// yields the boundary ring in O(B log B); consecutive ring members are
-// exactly the landing intervals. Stale-colored beacons that are not on
-// the boundary anymore are filtered by a single OnSegment check against
-// the edge their angle brackets. The structural validity of each
-// interval (emptiness, one-sidedness) is checked later, per tried
+// yields the boundary ring; consecutive ring members are exactly the
+// landing intervals. Stale-colored beacons that are not on the boundary
+// anymore are filtered by a single OnSegment check against the edge
+// their angle brackets. For B beacons and C beacon-hull corners that is
+// one O(V) scan for the beacons, the hull (bucket-ordered, so O(B) on
+// spread-out input), the angle sorts of the beacons and of the corners,
+// O(B log B) together, and O(B log C) edge lookups; see boundaryRing. The structural validity of
+// each interval (emptiness, one-sidedness) is checked later, per tried
 // interval.
-func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
+func (a *LogVis) candidateSlots(s model.Snapshot, sc *scratch) []slot {
 	self := s.Self.Pos
-	var beacons []geom.Point
+	beacons := sc.beacons[:0]
 	for _, o := range s.Others {
 		// Done robots are settled corners and anchor slots just as
 		// Corner robots do.
@@ -425,6 +507,7 @@ func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
 			beacons = append(beacons, o.Pos)
 		}
 	}
+	sc.beacons = beacons
 	if len(beacons) < 2 {
 		return nil
 	}
@@ -437,17 +520,17 @@ func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
 	case 2:
 		ring = collinearRing(beacons, cs[0], cs[1])
 	default:
-		ring = boundaryRing(beacons, cs)
+		ring = boundaryRing(beacons, cs, sc)
 	}
 	if len(ring) < 2 {
 		return nil
 	}
-	out := make([]slot, 0, len(ring))
+	out := sc.slots[:0]
 	add := func(u, v geom.Point) {
 		if u.Eq(v) {
 			return
 		}
-		out = append(out, slot{u: u, v: v, dist: geom.Seg(u, v).Dist(self)})
+		out = append(out, slot{u: u, v: v, dist: geom.Seg(u, v).Dist(self), chord: u.Dist(v)})
 	}
 	for k := 0; k+1 < len(ring); k++ {
 		add(ring[k], ring[k+1])
@@ -455,6 +538,7 @@ func (a *LogVis) candidateSlots(s model.Snapshot) []slot {
 	if len(cs) > 2 {
 		add(ring[len(ring)-1], ring[0]) // close the ring
 	}
+	sc.slots = out
 	return out
 }
 
@@ -494,19 +578,17 @@ func collinearRing(beacons []geom.Point, A, B geom.Point) []geom.Point {
 
 // boundaryRing returns the beacons that lie on the beacon hull's
 // boundary, in CCW order, in O(B log B): sort everything by angle around
-// the hull centroid, then sweep the hull edges in the same angular order
-// and keep each beacon only if it sits on the edge its angle brackets.
-func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
+// the hull centroid, then find each beacon's edge by a binary search over
+// the corner angles and keep the beacon only if it sits on the edge its
+// angle brackets. Its buffers, and the returned ring, live in sc.
+func boundaryRing(beacons []geom.Point, corners []geom.Point, sc *scratch) []geom.Point {
 	c := geom.Centroid(corners)
-	type ba struct {
-		p   geom.Point
-		ang float64
+	all := sc.byAngle[:0]
+	for _, w := range beacons {
+		all = append(all, beaconAngle{p: w, ang: w.Sub(c).Angle()})
 	}
-	all := make([]ba, len(beacons))
-	for i, w := range beacons {
-		all[i] = ba{p: w, ang: w.Sub(c).Angle()}
-	}
-	slices.SortFunc(all, func(a, b ba) int {
+	sc.byAngle = all
+	slices.SortFunc(all, func(a, b beaconAngle) int {
 		switch {
 		case a.ang < b.ang:
 			return -1
@@ -519,13 +601,23 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 
 	// Corner angles in the same sorted order; corners are a subset of
 	// the beacons, so their angles appear in `all` too.
-	ca := make([]float64, len(corners))
-	ci := make([]int, len(corners)) // corner index sorted by angle
+	ca := sc.cornerAngle[:0]
+	ci := sc.cornerOrder[:0] // corner index sorted by angle
 	for i, p := range corners {
-		ca[i] = p.Sub(c).Angle()
-		ci[i] = i
+		ca = append(ca, p.Sub(c).Angle())
+		ci = append(ci, i)
 	}
-	sort.Slice(ci, func(i, j int) bool { return ca[ci[i]] < ca[ci[j]] })
+	sc.cornerAngle, sc.cornerOrder = ca, ci
+	slices.SortFunc(ci, func(i, j int) int {
+		switch {
+		case ca[i] < ca[j]:
+			return -1
+		case ca[i] > ca[j]:
+			return 1
+		default:
+			return 0
+		}
+	})
 
 	// edgeFor returns the hull edge whose angular wedge contains ang:
 	// between sorted corner k and the next one (wrapping).
@@ -549,7 +641,7 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 		return a, b
 	}
 
-	out := make([]geom.Point, 0, len(all))
+	out := sc.ring[:0]
 	for _, w := range all {
 		ea, eb := edgeFor(w.ang)
 		if w.p.Eq(ea) || w.p.Eq(eb) || geom.OnSegment(ea, eb, w.p) {
@@ -559,7 +651,15 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 			out = append(out, w.p)
 		}
 	}
+	sc.ring = out
 	return out
+}
+
+// beaconAngle is a beacon and its angle around the beacon hull's
+// centroid.
+type beaconAngle struct {
+	p   geom.Point
+	ang float64
 }
 
 // slotUsable checks the two structural conditions on an interval (u, v):
@@ -570,21 +670,37 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point) []geom.Point {
 // legitimately sit just outside the chord of the slot they are landing
 // in, and the Transit guard — not this check — arbitrates slot busyness.
 // The robot itself must be strictly off the line.
-func (a *LogVis) slotUsable(self, u, v geom.Point, others []model.RobotView) bool {
+//
+// band is orientBand of the span of a point set holding u, v and every
+// robot of others. Most robots lie far from the chord's line, and for
+// them one cross product decides: |Cross2(u, v, w)| > band means w is
+// neither Eq to u nor to v, and Orient(u, v, w) is the sign of the cross
+// product, so w is off the line and not between u and v (orientBand
+// gives both facts). Only robots inside the band take the Eq, Orient and
+// StrictlyBetween path, which answers exactly as without the band.
+func (a *LogVis) slotUsable(self, u, v geom.Point, others []model.RobotView, band float64) bool {
 	mySide := geom.Orient(u, v, self)
 	if mySide == geom.Collinear {
 		return false
 	}
 	for _, w := range others {
-		if w.Pos.Eq(u) || w.Pos.Eq(v) {
-			continue
-		}
-		o := geom.Orient(u, v, w.Pos)
-		if o == geom.Collinear {
-			if geom.StrictlyBetween(u, v, w.Pos) {
-				return false
+		var o geom.Orientation
+		switch cr := geom.Cross2(u, v, w.Pos); {
+		case cr > band:
+			o = geom.CCW
+		case cr < -band:
+			o = geom.CW
+		default:
+			if w.Pos.Eq(u) || w.Pos.Eq(v) {
+				continue
 			}
-			continue
+			o = geom.Orient(u, v, w.Pos)
+			if o == geom.Collinear {
+				if geom.StrictlyBetween(u, v, w.Pos) {
+					return false
+				}
+				continue
+			}
 		}
 		if w.Color == model.Transit || w.Color == model.Beacon {
 			continue
@@ -594,6 +710,34 @@ func (a *LogVis) slotUsable(self, u, v geom.Point, others []model.RobotView) boo
 		}
 	}
 	return true
+}
+
+// maxBandSpan is the largest span orientBand gives a finite band for.
+const maxBandSpan = 1 << 20
+
+// orientBand returns the band slotUsable compares cross products
+// against, for points whose X span plus Y span (maxX-minX)+(maxY-minY)
+// is span: 2·Eps·max(1, span). For any u, v, w of such a set:
+//
+//   - Orient(u, v, w) answers by the sign of Cross2(u, v, w) when the
+//     cross product lies outside the band. Orient's tolerance is
+//     Eps·max(1, |v-u|₁, |w-u|₁), and each rounded L1 distance is at
+//     most the rounded span, because |v.X-u.X| ≤ maxX-minX holds exactly
+//     and rounding is monotone (the argument of geom's orientBound).
+//   - A w that is Eq to u or to v falls inside the band. Then w-u or
+//     w-v is at most Eps in each coordinate (up to the rounding of Eq's
+//     own test), so the exact cross product, (v-u)×(w-u) = (v-u)×(w-v),
+//     is at most about Eps·|v-u|₁ ≤ Eps·span. Cross2's rounding error is
+//     below 5·2⁻⁵³·span², which is under 0.6·Eps·span while span ≤
+//     maxBandSpan, so the computed value stays inside 2·Eps·span.
+//
+// Above maxBandSpan the band is +Inf and every robot takes the exact
+// path; a NaN span gives a NaN band, which no comparison passes either.
+func orientBand(span float64) float64 {
+	if span > maxBandSpan {
+		return math.Inf(1)
+	}
+	return 2 * geom.Eps * max(1, span)
 }
 
 // arcFracCap caps the sagitta of a landing arc as a fraction of its
@@ -630,7 +774,8 @@ func landingSagitta(chord, diam float64) float64 {
 // robot positions map to distinct landing points (a hard clamp would
 // collapse everything below the margin onto one exact point — that
 // colocation was observed under the randomized ASYNC scheduler before
-// the squash). diam is the snapshot's landingDiam.
+// the squash). diam is the diagonal of the snapshot's bounding box,
+// or 0 under AblateConstantSagitta.
 func (a *LogVis) landingPoint(s model.Snapshot, sl slot, diam float64) (geom.Point, bool) {
 	self := s.Self.Pos
 	_, t := geom.ProjectOntoLine(sl.u, sl.v, self)
@@ -673,18 +818,6 @@ func (a *LogVis) landingPoint(s model.Snapshot, sl slot, diam float64) (geom.Poi
 	}
 	arc := geom.ArcThrough(sl.u, sl.v, h)
 	return arc.At(t), true
-}
-
-// landingDiam returns the visible diameter the landing sagitta scales
-// against, or 0 under AblateConstantSagitta (which disables the
-// quadratic law, so the cap fraction applies). It depends only on the
-// snapshot, so a Compute takes it once for every slot it tries.
-func (a *LogVis) landingDiam(s model.Snapshot) float64 {
-	if a.AblateConstantSagitta {
-		return 0
-	}
-	min, max := geom.BoundingBox(s.Points())
-	return max.Sub(min).Norm()
 }
 
 // slotBusy applies the Transit guard: an interval with a visible

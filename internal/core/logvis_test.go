@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"luxvis/internal/geom"
@@ -244,23 +243,6 @@ func TestLandingSagitta(t *testing.T) {
 	// Zero diameter falls back to the cap.
 	if got := landingSagitta(16, 0); got != 1 {
 		t.Errorf("no-diameter sagitta = %v", got)
-	}
-}
-
-func TestExplainMentionsBranch(t *testing.T) {
-	a := NewLogVis()
-	s := snapOf(geom.Pt(5, 2), model.Interior,
-		view(geom.Pt(0, 0), model.Corner),
-		view(geom.Pt(10, 0), model.Corner),
-		view(geom.Pt(5, 8), model.Corner),
-	)
-	out := a.Explain(s)
-	if !strings.Contains(out, "interior") {
-		t.Errorf("Explain output missing branch: %q", out)
-	}
-	out = a.Explain(snapOf(geom.Pt(1, 1), model.Off))
-	if !strings.Contains(out, "alone") {
-		t.Errorf("Explain alone: %q", out)
 	}
 }
 

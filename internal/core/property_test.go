@@ -30,7 +30,8 @@ func landingSnap(p geom.Point) model.Snapshot {
 // landAt is landingPoint for the interior robot of landingSnap(p).
 func landAt(a *LogVis, p geom.Point, sl slot) (geom.Point, bool) {
 	s := landingSnap(p)
-	return a.landingPoint(s, sl, a.landingDiam(s))
+	lo, hi := geom.BoundingBox(s.Points())
+	return a.landingPoint(s, sl, hi.Sub(lo).Norm())
 }
 
 func TestLandingPointMonotoneInFoot(t *testing.T) {

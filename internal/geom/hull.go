@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // Hull is the convex hull of a point set. Corners holds the strict hull
@@ -37,8 +38,15 @@ type Hull struct {
 // bound, Eps·max(1, X span + Y span) of the deduplicated points, and
 // calls Orient only when it falls inside; orientBound says why that
 // gives Orient's answer exactly.
+//
+// The sorted copy and the chain stack live in pooled scratch, so a warm
+// call allocates only the returned corners, an exact-length copy that
+// never aliases the scratch.
 func ConvexHull(pts []Point) Hull {
-	p := sortedXY(pts)
+	sc := hullPool.Get().(*hullScratch)
+	defer hullPool.Put(sc)
+	p := sortedXY(pts, sc.sorted)
+	sc.sorted = p
 	// Remove duplicates.
 	uniq := p[:0]
 	for _, q := range p {
@@ -75,7 +83,7 @@ func ConvexHull(pts []Point) Hull {
 			return Orient(a, b, c) == CCW
 		}
 	}
-	hull := make([]Point, 0, 2*n)
+	hull := slices.Grow(sc.chain[:0], 2*n)
 	for _, q := range p {
 		for len(hull) >= 2 && !leftTurn(hull[len(hull)-2], hull[len(hull)-1], q) {
 			hull = hull[:len(hull)-1]
@@ -90,8 +98,21 @@ func ConvexHull(pts []Point) Hull {
 		}
 		hull = append(hull, q)
 	}
-	return Hull{Corners: hull[:len(hull)-1]}
+	sc.chain = hull
+	corners := make([]Point, len(hull)-1)
+	copy(corners, hull)
+	return Hull{Corners: corners}
 }
+
+// hullScratch is ConvexHull's working memory: the (x, y)-ordered copy of
+// the input and the chain stack.
+type hullScratch struct {
+	sorted, chain []Point
+}
+
+// hullPool lends each ConvexHull call its own scratch, so concurrent
+// calls never share one.
+var hullPool = sync.Pool{New: func() any { return new(hullScratch) }}
 
 // orientBound returns a tolerance no smaller than Orient's for any
 // triple drawn from p: Eps·max(1, (maxX-minX)+(maxY-minY)). Orient(a,
@@ -124,11 +145,12 @@ func orientBound(p []Point) float64 {
 	return Eps * max(1, (maxX-minX)+(maxY-minY))
 }
 
-// sortedXY returns a fresh copy of pts in Point.Less order; see
-// ConvexHull for the bucket order and its fallbacks.
-func sortedXY(pts []Point) []Point {
+// sortedXY returns a copy of pts in Point.Less order, reusing buf's
+// storage when it is large enough; see ConvexHull for the bucket order
+// and its fallbacks.
+func sortedXY(pts, buf []Point) []Point {
 	n := len(pts)
-	p := make([]Point, n)
+	p := slices.Grow(buf[:0], n)[:n]
 	if n < 32 || !bucketXY(pts, p) {
 		copy(p, pts)
 		slices.SortFunc(p, func(a, b Point) int {

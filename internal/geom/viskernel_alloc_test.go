@@ -62,3 +62,20 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		})
 	}
 }
+
+// TestConvexHullAllocs: with its pooled scratch warm, ConvexHull of a
+// local-hull-sized input allocates only the returned corners.
+func TestConvexHullAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(4))
+	pts := make([]geom.Point, 192)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	}
+	geom.ConvexHull(pts)
+	if allocs := testing.AllocsPerRun(100, func() { geom.ConvexHull(pts) }); allocs > 1 {
+		t.Fatalf("warm ConvexHull of %d points allocates %.1f times per call, want ≤ 1", len(pts), allocs)
+	}
+}
