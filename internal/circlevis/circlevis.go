@@ -17,6 +17,7 @@ package circlevis
 
 import (
 	"math"
+	"sync"
 
 	"luxvis/internal/geom"
 	"luxvis/internal/model"
@@ -55,7 +56,16 @@ func (a *CircleVis) Compute(s model.Snapshot) model.Action {
 	if len(s.Others) == 0 {
 		return model.Stay(self, model.Done)
 	}
-	pts := s.Points()
+	// pts is self followed by every visible robot, the order of
+	// Snapshot.Points, so pts[1:] are the obstacles. It lives in pooled
+	// scratch, so Compute allocates nothing once warm.
+	sc := ptsPool.Get().(*[]geom.Point)
+	defer ptsPool.Put(sc)
+	pts := append((*sc)[:0], self)
+	for _, o := range s.Others {
+		pts = append(pts, o.Pos)
+	}
+	*sc = pts
 	sec := geom.MinEnclosingCircle(pts)
 
 	if sec.OnBoundary(self) {
@@ -87,7 +97,7 @@ func (a *CircleVis) Compute(s model.Snapshot) model.Action {
 	// this corridor.
 	margin := s.NearestDist() / 8
 	margin = math.Min(margin, self.Dist(target)/4)
-	obstacles := s.OtherPoints()
+	obstacles := pts[1:]
 	if !geom.PathClear(self, target, obstacles, margin) {
 		// Try a shorter hop, then a slightly rotated boundary slot —
 		// the escape hatch for robots sharing a ray with an already
@@ -112,6 +122,8 @@ func (a *CircleVis) Compute(s model.Snapshot) model.Action {
 	}
 	return model.MoveTo(target, model.Transit)
 }
+
+var ptsPool = sync.Pool{New: func() any { return new([]geom.Point) }}
 
 // compile-time interface check
 var _ model.Algorithm = (*CircleVis)(nil)

@@ -133,7 +133,7 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 // and nothing in it outlives the call.
 type scratch struct {
 	// pts is self followed by every visible robot, the order of
-	// Snapshot.Points; pts[1:] is Snapshot.OtherPoints.
+	// Snapshot.Points; pts[1:] are the visible robots' positions.
 	pts     []geom.Point
 	beacons []geom.Point
 	slots   []slot

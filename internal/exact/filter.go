@@ -122,21 +122,18 @@ func coincident(pts []geom.Point, selected []bool) bool {
 // non-collinear triple.
 func anyCandidateConfirmed(pts []geom.Point, selected []bool, confirm func(a, b, m Point) bool) bool {
 	eps := lazyPoints{pts: pts}
-	for _, t := range geom.CollinearCandidates(pts, candidateTol) {
+	return geom.CollinearCandidates(pts, candidateTol, func(t geom.Triple) bool {
 		if t.A == t.Blocker || t.B == t.Blocker {
 			// Degenerate duplicate marker from the scan; coincident
 			// points are decided exactly by the caller.
-			continue
+			return false
 		}
 		if selected != nil && (!selected[t.A] || !selected[t.B]) {
-			continue
+			return false
 		}
 		if _, ok := orientFilter(pts[t.A], pts[t.B], pts[t.Blocker]); ok {
-			continue
+			return false
 		}
-		if confirm(eps.at(t.A), eps.at(t.B), eps.at(t.Blocker)) {
-			return true
-		}
-	}
-	return false
+		return confirm(eps.at(t.A), eps.at(t.B), eps.at(t.Blocker))
+	})
 }

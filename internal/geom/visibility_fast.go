@@ -64,32 +64,36 @@ type Triple struct {
 	A, B, Blocker int
 }
 
-// CollinearCandidates returns every pair whose folded directions from
-// some observer agree within tol, without a collinearity confirmation.
-// The exact checker uses it as a superset filter: every exactly-collinear
-// triple has a folded-angle gap far below any reasonable tol, so
-// confirming only the candidates with exact arithmetic decides Complete
-// Visibility exactly. tol acts as a floor — per observer the scan widens
-// it to the scale-aware foldTol bound, so the superset contract holds at
-// any coordinate magnitude. A point coincident with observer k comes back
-// as the degenerate Triple{A: k, B: j, Blocker: j}.
-func CollinearCandidates(pts []Point, tol float64) []Triple {
+// CollinearCandidates calls visit with every pair whose folded
+// directions from some observer agree within tol, without a
+// collinearity confirmation, until visit returns true; it reports
+// whether visit stopped the scan. The exact checker uses it as a
+// superset filter: every exactly-collinear triple has a folded-angle gap
+// far below any reasonable tol, so confirming only the candidates with
+// exact arithmetic decides Complete Visibility exactly, and the scan
+// stops at the first confirmed one. tol acts as a floor — per observer
+// the scan widens it to the scale-aware foldTol bound, so the superset
+// contract holds at any coordinate magnitude. A point coincident with
+// observer k comes back as the degenerate Triple{A: k, B: j, Blocker: j}.
+func CollinearCandidates(pts []Point, tol float64, visit func(Triple) (stop bool)) bool {
 	if tol <= 0 {
 		tol = angleFoldTol
 	}
-	var out []Triple
 	dirs := make([]dir, 0, len(pts))
-	for k := range pts {
-		dirs, _ = collinearObserver(pts, k, tol, dirs, func(a, b int, confirmable bool) bool {
-			if confirmable {
-				out = append(out, Triple{A: a, B: b, Blocker: k})
-			} else {
-				out = append(out, Triple{A: k, B: a, Blocker: b})
-			}
-			return false
-		})
+	k := 0
+	emit := func(a, b int, confirmable bool) bool {
+		if confirmable {
+			return visit(Triple{A: a, B: b, Blocker: k})
+		}
+		return visit(Triple{A: k, B: a, Blocker: b})
 	}
-	return out
+	for ; k < len(pts); k++ {
+		var stop bool
+		if dirs, stop = collinearObserver(pts, k, tol, dirs, emit); stop {
+			return true
+		}
+	}
+	return false
 }
 
 // dir is one folded direction from a scan observer.

@@ -177,7 +177,7 @@ func TestVisibleSetFastAgreesWithNaive(t *testing.T) {
 
 func TestCollinearTriples(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(5, 0), Pt(10, 0), Pt(3, 7)}
-	triples := CollinearCandidates(pts, 0)
+	triples := collectCandidates(pts, 0)
 	if len(triples) == 0 {
 		t.Fatal("collinear triple not detected")
 	}
@@ -192,9 +192,24 @@ func TestCollinearTriples(t *testing.T) {
 	if !found {
 		t.Errorf("middle point absent from triples %v", triples)
 	}
-	if got := CollinearCandidates([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
+	if got := collectCandidates([]Point{Pt(0, 0), Pt(5, 0), Pt(5, 5)}, 0); len(got) != 0 {
 		t.Errorf("triangle produced triples %v", got)
 	}
+	// A true return from visit stops the scan at that candidate.
+	calls := 0
+	if !CollinearCandidates(pts, 0, func(Triple) bool { calls++; return true }) || calls != 1 {
+		t.Errorf("stopping visit: %d calls, want the scan to stop after 1", calls)
+	}
+}
+
+// collectCandidates returns every CollinearCandidates triple.
+func collectCandidates(pts []Point, tol float64) []Triple {
+	var out []Triple
+	CollinearCandidates(pts, tol, func(t Triple) bool {
+		out = append(out, t)
+		return false
+	})
+	return out
 }
 
 // The line-visibility lemma the algorithm relies on: in a non-collinear

@@ -100,7 +100,7 @@ func TestCompleteVisibilityFastLargeCoordinates(t *testing.T) {
 	if kern.CompleteVisibilityFast(pts) {
 		t.Fatalf("CompleteVisibilityFast(%v) = true, but point 1 blocks point 2 from point 0", pts)
 	}
-	if len(geom.CollinearCandidates(pts, 0)) == 0 {
+	if !geom.CollinearCandidates(pts, 0, func(geom.Triple) bool { return true }) {
 		t.Fatalf("CollinearCandidates(%v) found nothing, want the (1, 2, blocker 0) line", pts)
 	}
 	for i := range pts {
@@ -124,13 +124,11 @@ func TestCollinearCandidatesScaleContract(t *testing.T) {
 		k.Add(geom.Pt(2e-4, 5e-6)),
 		k.Add(geom.Pt(-3, 7)), // an unrelated, well-separated witness
 	}
-	cands := geom.CollinearCandidates(pts, 1e-5)
-	found := false
-	for _, c := range cands {
-		if c.Blocker == 0 && ((c.A == 1 && c.B == 2) || (c.A == 2 && c.B == 1)) {
-			found = true
-		}
-	}
+	var cands []geom.Triple
+	found := geom.CollinearCandidates(pts, 1e-5, func(c geom.Triple) bool {
+		cands = append(cands, c)
+		return c.Blocker == 0 && ((c.A == 1 && c.B == 2) || (c.A == 2 && c.B == 1))
+	})
 	if !found {
 		t.Fatalf("CollinearCandidates(%v, 1e-5) = %v, missing the (1, 2) pair through observer 0", pts, cands)
 	}

@@ -94,16 +94,6 @@ func (s Snapshot) Points() []geom.Point {
 	return pts
 }
 
-// OtherPoints returns the positions of the visible robots (excluding
-// self). The returned slice is fresh.
-func (s Snapshot) OtherPoints() []geom.Point {
-	pts := make([]geom.Point, len(s.Others))
-	for i, o := range s.Others {
-		pts[i] = o.Pos
-	}
-	return pts
-}
-
 // CountColor returns how many visible robots (excluding self) show c.
 func (s Snapshot) CountColor(c Color) int {
 	n := 0
@@ -184,6 +174,9 @@ func (a Action) IsStay(at geom.Point) bool { return a.Target.Eq(at) }
 // from several goroutines, and before the robot's Compute event (any
 // time after the Look that took the snapshot). A Compute must therefore
 // be safe to call concurrently and depend on nothing but its snapshot.
+// A snapshot's Others is valid only until Compute returns: the engine
+// reuses its backing array for later Looks, so an implementation (or a
+// test wrapper) that keeps a snapshot past the call must copy Others.
 type Algorithm interface {
 	// Name identifies the algorithm in traces and experiment tables.
 	Name() string

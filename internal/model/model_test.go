@@ -35,10 +35,6 @@ func TestSnapshotPoints(t *testing.T) {
 	if len(pts) != 3 || !pts[0].Eq(geom.Pt(1, 1)) || !pts[2].Eq(geom.Pt(3, 3)) {
 		t.Errorf("Points = %v", pts)
 	}
-	op := s.OtherPoints()
-	if len(op) != 2 || !op[0].Eq(geom.Pt(2, 2)) {
-		t.Errorf("OtherPoints = %v", op)
-	}
 	// Returned slices are fresh: mutating them must not affect the
 	// snapshot.
 	pts[0] = geom.Pt(99, 99)

@@ -71,10 +71,11 @@ type Options struct {
 	// executes (see the Observer interface). A nil Observer is the
 	// benchmark path: disabled observation costs one branch per event,
 	// and a run of at least 96 robots with two procs (GOMAXPROCS) to
-	// itself starts each robot's Compute at its Look on a per-run worker
-	// pool (see pipeline.go). With an Observer attached, Computes run
-	// inline at their Compute events, so for such runs the gap between
-	// a nil and a no-op Observer includes the pipelining gain, and
+	// itself hands each robot's Look (unless SensorJitter is set) and
+	// Compute to a per-run worker pool at its Look event (see
+	// pipeline.go). With an Observer attached, Looks and Computes run
+	// inline at their events, so for such runs the gap between a nil
+	// and a no-op Observer includes the pipelining gain, and
 	// epoch-boundary samples are computed even when SampleEpochs is
 	// false (they feed EpochEnd).
 	Observer Observer
@@ -223,6 +224,9 @@ type Result struct {
 	EpochSamples []EpochSample
 
 	// Kernel reports the visibility kernel's work counters for the run.
+	// They are diagnostics: two runs of the same inputs may report
+	// different counters (see KernelStats), so a determinism comparison
+	// leaves Kernel out.
 	Kernel KernelStats
 }
 
@@ -231,6 +235,15 @@ type Result struct {
 // incrementally, and where the geometry time went. The nanosecond
 // counters are collected only when an Observer is attached — the
 // benchmark path (nil Observer) pays no clock reads.
+//
+// The row counters are diagnostics of the engine's own incremental
+// snapshot, which serves inline Looks and the survivor Complete
+// Visibility reads of crash runs. A pipelined run (see pipeline.go)
+// builds its Looks' rows on the compute workers and counts none of
+// them, and whether a run pipelines depends on GOMAXPROCS and on the
+// runs in flight, not on the run's inputs. So two runs of the same
+// inputs may report different row counters; every other field of the
+// Result is the same.
 type KernelStats struct {
 	// RowsComputed counts visibility rows computed from scratch.
 	RowsComputed int64
@@ -289,7 +302,8 @@ type engine struct {
 	pos []geom.Point
 	// vk and vsnap are the run's visibility kernel and its batched
 	// snapshot; vsnap mirrors pos (kept in sync at the single write site
-	// in doMoveStep) so Looks read arena-backed rows without allocating.
+	// in doMoveStep) so inline Looks and survivor CV checks read
+	// arena-backed rows without allocating.
 	vk    *geom.Kernel
 	vsnap *geom.Snapshot
 	col   []model.Color
@@ -352,8 +366,9 @@ type engine struct {
 	// SensorJitter > 0); kept apart from rng so jitter draws never shift
 	// the scheduler interleaving.
 	jrng *rand.Rand
-	// pool runs Computes off the event loop, started at Look and joined
-	// at the Compute event (see pipeline.go); nil computes inline.
+	// pool runs Looks and Computes off the event loop, started at the
+	// Look event and joined at the Compute event (see pipeline.go); nil
+	// looks and computes inline.
 	pool *computePool
 }
 
@@ -471,10 +486,10 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 
 	inFlight := runsInFlight.Add(1)
 	defer runsInFlight.Add(-1)
-	// Observed runs compute inline. The Observer itself never calls
-	// Compute; the condition exists for perfbench's traced run, whose
-	// timing decorator around the algorithm shares a cursor with its
-	// Observer and is not safe to call concurrently. perfbench is
+	// Observed runs look and compute inline. The Observer itself never
+	// calls Compute; the condition exists for perfbench's traced run,
+	// whose timing decorator around the algorithm shares a cursor with
+	// its Observer and is not safe to call concurrently. perfbench is
 	// frozen while performance claims are measured against it, so the
 	// condition stays until that tracer is made concurrency-safe
 	// (ROADMAP item 1).
@@ -547,8 +562,29 @@ func (e *engine) advance(r int) {
 	}
 }
 
-// doLook takes robot r's snapshot of the current world.
+// doLook takes robot r's snapshot of the current world. A pipelined run
+// hands the pool a copy of the world, from which a worker builds the
+// snapshot, unless the run jitters its sensors: jitter draws must follow
+// the event order, so such a run takes the snapshot here, as an inline
+// run does, and hands the pool only the Compute.
 func (e *engine) doLook(r int) {
+	if e.pool != nil && e.jrng == nil {
+		e.pool.submit(r, e.pos, e.col)
+	} else {
+		e.look(r)
+		if e.pool != nil {
+			e.pool.submitLooked(r, e.snap[r])
+		}
+	}
+	e.st[r].Stage = sched.Looked
+	e.snapLook[r] = e.now
+	e.trace(r, "look")
+}
+
+// look reads robot r's row from the incremental snapshot and builds its
+// snapshot in the backing array of r's previous Others, which no Compute
+// still reads: r's last Compute returned before its Compute event.
+func (e *engine) look(r int) {
 	var t0 time.Time
 	if e.obs != nil {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
@@ -559,9 +595,9 @@ func (e *engine) doLook(r int) {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
-	others := make([]model.RobotView, len(vis))
-	for i, j := range vis {
-		others[i] = model.RobotView{Pos: e.pos[j], Color: e.col[j]}
+	others := e.snap[r].Others[:0]
+	for _, j := range vis {
+		others = append(others, model.RobotView{Pos: e.pos[j], Color: e.col[j]})
 	}
 	if e.opt.SensorJitter > 0 {
 		e.jitterViews(others)
@@ -570,12 +606,6 @@ func (e *engine) doLook(r int) {
 		Self:   model.RobotView{Pos: e.pos[r], Color: e.col[r]},
 		Others: others,
 	}
-	if e.pool != nil {
-		e.pool.submit(r, e.snap[r])
-	}
-	e.st[r].Stage = sched.Looked
-	e.snapLook[r] = e.now
-	e.trace(r, "look")
 }
 
 // doCompute runs the algorithm on robot r's held snapshot (or joins the

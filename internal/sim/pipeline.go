@@ -9,27 +9,33 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"luxvis/internal/geom"
 	"luxvis/internal/model"
 )
 
-// Compute pipelining. Robots are oblivious: model.Algorithm.Compute is a
-// pure function of the snapshot taken at Look, so a robot's Compute may
-// run at any time between its Look and its Compute event without
-// changing the run. A run that can use a spare core therefore starts
-// each Compute at the Look, on a per-run worker pool, and joins it at
-// the Compute event; everything the Compute event does with the action
-// (target and palette checks, light publish, move arming) stays on the
-// Run goroutine in event order. Other runs compute inline at the
-// Compute event. newComputePool decides which, from what the engine can
-// see: the swarm size, GOMAXPROCS and the number of runs in flight in
-// the process (RunCtx explains why observed runs always compute inline).
+// Look and Compute pipelining. Robots are oblivious: a Look is an
+// instantaneous snapshot and model.Algorithm.Compute is a pure function
+// of it, so both the snapshot's visibility row and the Compute may run
+// at any time between the Look event and the Compute event, provided
+// they read the world as it was at the Look. A run that can use a spare
+// core therefore hands each Look to a per-run worker pool together with
+// a copy of the world, and joins the Compute at the Compute event; the
+// Look event's bookkeeping (stage, snapshot time, trace) and everything
+// the Compute event does with the action (target and palette checks,
+// light publish, move arming) stay on the Run goroutine in event order.
+// A run with sensor jitter takes its snapshots on the Run goroutine,
+// because the jitter draws must follow the event order, and hands the
+// pool only the Computes. Other runs look and compute inline. RunCtx
+// decides which: a run with an Observer (see there) never pipelines,
+// and newComputePool decides the rest from the swarm size, GOMAXPROCS
+// and the number of runs in flight in the process.
 
-// pipelineMinRobots is the smallest swarm whose run pipelines Compute.
-// Below it a Compute costs about as much as handing it to a worker and
-// waking the Run goroutine for the result, so pipelining does not pay
-// even on an idle core: on a 2-vCPU host LogVis lost at 32 robots, was
-// mixed at 64 and won every pair at 96 and 128. A variable so that
-// tests can pipeline small swarms.
+// pipelineMinRobots is the smallest swarm whose run pipelines. Below it
+// a Compute costs about as much as handing it to a worker and waking
+// the Run goroutine for the result, so pipelining does not pay even on
+// an idle core: on a 2-vCPU host LogVis lost at 32 robots, was mixed at
+// 64 and won every pair at 96 and 128. A variable so that tests can
+// pipeline small swarms.
 var pipelineMinRobots = 96
 
 // runsInFlight counts the RunCtx calls executing in this process. A
@@ -43,15 +49,15 @@ var runsInFlight atomic.Int64
 // whose own trace ends in computePool.wait.
 var computePanicLog io.Writer = os.Stderr
 
-// computePool runs robots' Computes on GOMAXPROCS workers. It is owned
-// by one engine loop: submit, wait and close are called from the Run
-// goroutine only.
+// computePool runs robots' Looks and Computes on GOMAXPROCS workers. It
+// is owned by one engine loop: submit, submitLooked, wait and close are
+// called from the Run goroutine only.
 //
-// At most one Compute per robot is ever outstanding — a robot's next
-// Look comes after the Compute event that waits for the previous one —
-// so the job queue, buffered to the swarm size, and each robot's
-// one-slot result channel never block a sender. A robot crashed while
-// Looked leaves its result unread; close discards it.
+// At most one job per robot is ever outstanding — a robot's next Look
+// comes after the Compute event that waits for the previous one — so
+// the job queue, buffered to the swarm size, and each robot's one-slot
+// result channel never block a sender. A robot crashed while Looked
+// leaves its result unread; close discards it.
 type computePool struct {
 	algo    model.Algorithm
 	jobs    chan computeJob
@@ -60,9 +66,23 @@ type computePool struct {
 	wg      sync.WaitGroup
 }
 
-// computeJob is one robot's frozen snapshot awaiting its Compute.
+// world is one Look's copy of the robots' positions and lights. submit
+// fills it from the engine before queueing the job, and the worker
+// returns it to worlds once the Look's row and Others are built.
+type world struct {
+	pos []geom.Point
+	col []model.Color
+}
+
+// worlds recycles world copies across Looks and runs, so a steady-state
+// handoff allocates nothing.
+var worlds = sync.Pool{New: func() any { return new(world) }}
+
+// computeJob is one robot's Look awaiting its row and Compute, or,
+// when world is nil, its snapshot awaiting the Compute.
 type computeJob struct {
 	robot int
+	world *world
 	snap  model.Snapshot
 }
 
@@ -75,8 +95,22 @@ type computeResult struct {
 	stack    []byte
 }
 
+// looker is one worker's Look state: a visibility snapshot and the
+// buffer it builds each snapshot's Others into. Lookers outlive their
+// runs in lookers, so a worker's row and Others buffers are allocated
+// once per process, not once per run.
+type looker struct {
+	vis    *geom.Snapshot
+	others []model.RobotView
+}
+
+// lookers holds idle lookers. Each snapshot's kernel has one worker,
+// which computes on the caller's goroutine and never starts a pool, so
+// a looker holds no resources beyond its memory and needs no Close.
+var lookers = sync.Pool{New: func() any { return &looker{vis: geom.NewKernel(1).NewSnapshot()} }}
+
 // newComputePool returns a running pool for a swarm of n robots, or nil
-// when the run should compute inline: the swarm is below
+// when the run should look and compute inline: the swarm is below
 // pipelineMinRobots, or there are fewer than two procs (GOMAXPROCS) for
 // each of the inFlight runs executing now, this one included.
 func newComputePool(algo model.Algorithm, n int, inFlight int64) *computePool {
@@ -100,8 +134,17 @@ func newComputePool(algo model.Algorithm, n int, inFlight int64) *computePool {
 	return p
 }
 
-// submit starts robot r's Compute on snapshot s.
-func (p *computePool) submit(r int, s model.Snapshot) {
+// submit starts robot r's Look and Compute on a copy of pos and col.
+func (p *computePool) submit(r int, pos []geom.Point, col []model.Color) {
+	w := worlds.Get().(*world)
+	w.pos = append(w.pos[:0], pos...)
+	w.col = append(w.col[:0], col...)
+	p.jobs <- computeJob{robot: r, world: w}
+}
+
+// submitLooked starts robot r's Compute on snapshot s, taken on the Run
+// goroutine.
+func (p *computePool) submitLooked(r int, s model.Snapshot) {
 	p.jobs <- computeJob{robot: r, snap: s}
 }
 
@@ -127,6 +170,8 @@ func (p *computePool) close() {
 
 func (p *computePool) worker() {
 	defer p.wg.Done()
+	l := lookers.Get().(*looker)
+	defer lookers.Put(l)
 	for {
 		// Check quit first so a closed pool stops at once instead of
 		// draining jobs whose results nobody will read.
@@ -139,9 +184,27 @@ func (p *computePool) worker() {
 		case <-p.quit:
 			return
 		case j := <-p.jobs:
-			p.results[j.robot] <- p.compute(j.snap)
+			s := j.snap
+			if j.world != nil {
+				s = l.look(j.robot, j.world)
+				worlds.Put(j.world)
+			}
+			p.results[j.robot] <- p.compute(s)
 		}
 	}
+}
+
+// look builds robot r's snapshot of world w. The row comes from the
+// worker's own visibility snapshot, reloaded with w's positions, so it
+// is exactly the row an inline Look of the same world reads. Others
+// aliases the looker's buffer and is valid until the next look.
+func (l *looker) look(r int, w *world) model.Snapshot {
+	l.vis.Reset(w.pos)
+	l.others = l.others[:0]
+	for _, j := range l.vis.Row(r) {
+		l.others = append(l.others, model.RobotView{Pos: w.pos[j], Color: w.col[j]})
+	}
+	return model.Snapshot{Self: model.RobotView{Pos: w.pos[r], Color: w.col[r]}, Others: l.others}
 }
 
 // compute runs one Compute, capturing a panic as a result.

@@ -31,9 +31,9 @@ var productionPipelineMin = pipelineMinRobots
 // drives the inline one, on swarms small enough to test quickly.
 func init() { pipelineMinRobots = 1 }
 
-// withProcs runs f under GOMAXPROCS(n). One proc computes inline; more
-// than one pipelines Compute on the worker pool, whatever the host's
-// core count.
+// withProcs runs f under GOMAXPROCS(n). One proc looks and computes
+// inline; more than one pipelines Look and Compute on the worker pool,
+// whatever the host's core count.
 func withProcs(n int, f func()) {
 	prev := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(prev)
@@ -136,9 +136,11 @@ func TestRunsInFlightCounted(t *testing.T) {
 }
 
 // TestPipelinedComputeMatchesInline pins the pipelining contract: a run
-// whose Computes start at Look on the worker pool is the same run,
-// field for field, as the one computing inline at each Compute event —
-// across algorithms, schedulers, stressors and the event and epoch caps.
+// whose Looks and Computes run on the worker pool is the same run,
+// field for field, as the one looking and computing inline at each
+// event — across algorithms, schedulers, stressors and the event and
+// epoch caps. The row counters are the exception: checkRowCounts pins
+// them instead.
 func TestPipelinedComputeMatchesInline(t *testing.T) {
 	algos := []struct {
 		name string
@@ -194,6 +196,13 @@ func TestPipelinedComputeMatchesInline(t *testing.T) {
 					if len(inline.Trace) == 0 {
 						t.Fatal("empty trace")
 					}
+					if st.name != "jitter" {
+						// Jittered runs look inline at any proc count, so
+						// their row counters must match too.
+						checkRowCounts(t, inline, piped)
+						inline.Kernel.RowsComputed, inline.Kernel.RowsReused = 0, 0
+						piped.Kernel.RowsComputed, piped.Kernel.RowsReused = 0, 0
+					}
 					if !reflect.DeepEqual(inline, piped) {
 						t.Fatalf("pipelined run diverged from inline:\ninline:    events=%d epochs=%d moves=%d crossings=%d reached=%v kernel=%+v\npipelined: events=%d epochs=%d moves=%d crossings=%d reached=%v kernel=%+v",
 							inline.Events, inline.Epochs, inline.Moves, inline.PathCrossings, inline.Reached, inline.Kernel,
@@ -201,6 +210,116 @@ func TestPipelinedComputeMatchesInline(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkRowCounts pins the row counters of a pipelined run against the
+// inline run of the same seed. The counters are the engine snapshot's
+// (see KernelStats): a pipelined run reads it only for the survivor
+// Complete Visibility checks of crash runs, a subset of the inline
+// run's reads of the same snapshot at the same versions, so it counts
+// no rows without crashes and never more than the inline run.
+func checkRowCounts(t *testing.T, inline, piped Result) {
+	t.Helper()
+	pk, ik := piped.Kernel, inline.Kernel
+	if len(piped.Crashed) == 0 && (pk.RowsComputed != 0 || pk.RowsReused != 0) {
+		t.Fatalf("pipelined rows computed/reused = %d/%d without crashes, want 0/0", pk.RowsComputed, pk.RowsReused)
+	}
+	if pk.RowsComputed+pk.RowsReused > ik.RowsComputed+ik.RowsReused {
+		t.Fatalf("pipelined rows %+v exceed inline %+v", pk, ik)
+	}
+}
+
+// TestPipelinedLookTracksMoves: a worker builds each Look's row over
+// that Look's positions. Line and spoke starts put robots behind one
+// another, so rows change as the robots spread out; a worker that read
+// an older world's positions would hand some Look a stale row, and the
+// pipelined run would part from the inline one. (Uniform starts, as in
+// TestPipelinedComputeMatchesInline, let nearly every robot see every
+// other, so a stale row there goes unnoticed.)
+func TestPipelinedLookTracksMoves(t *testing.T) {
+	algos := []struct {
+		name string
+		mk   func() model.Algorithm
+	}{
+		{"logvis", func() model.Algorithm { return core.NewLogVis() }},
+		{"seqvis", func() model.Algorithm { return baseline.NewSeqVis() }},
+	}
+	for _, fam := range []config.Family{config.Line, config.Spokes} {
+		for _, a := range algos {
+			t.Run(string(fam)+"/"+a.name, func(t *testing.T) {
+				opt := func() Options {
+					o := DefaultOptions(sched.NewAsyncRandom(), 17)
+					o.MaxEpochs = 40
+					return o
+				}
+				inline, piped, inErr, pipeErr := runBoth(t, a.mk, config.Generate(fam, 24, 5), opt)
+				if inErr != nil || pipeErr != nil {
+					t.Fatalf("Run: inline %v, pipelined %v", inErr, pipeErr)
+				}
+				if inline.Moves == 0 {
+					t.Fatal("no robot moved")
+				}
+				inline.Kernel, piped.Kernel = KernelStats{}, KernelStats{}
+				if !reflect.DeepEqual(inline, piped) {
+					t.Fatalf("pipelined run diverged from inline: events %d vs %d, moves %d vs %d, final %v vs %v",
+						inline.Events, piped.Events, inline.Moves, piped.Moves, inline.Final, piped.Final)
+				}
+			})
+		}
+	}
+}
+
+// stackProbe stays put and records whether every Compute ran inside
+// the engine's Compute event on the Run goroutine, or every one on a
+// compute worker.
+type stackProbe struct {
+	stayAlgo
+	inline, worker atomic.Int64
+}
+
+func (p *stackProbe) Compute(s model.Snapshot) model.Action {
+	buf := make([]byte, 16<<10)
+	st := string(buf[:runtime.Stack(buf, false)])
+	if strings.Contains(st, "(*engine).doCompute(") {
+		p.inline.Add(1)
+	}
+	if strings.Contains(st, "(*computePool).worker(") {
+		p.worker.Add(1)
+	}
+	return p.stayAlgo.Compute(s)
+}
+
+// TestJitteredRunLooksInline: sensor-jitter draws must follow the event
+// order, so a jittered run takes its Looks on the Run goroutine, from
+// the engine's snapshot, whose row counters then count them (see
+// KernelStats), while its Computes still run on the workers. The same
+// run without jitter builds its rows on the workers and counts none.
+func TestJitteredRunLooksInline(t *testing.T) {
+	start := config.Generate(config.Uniform, 12, 4)
+	for _, jitter := range []float64{0, 1e-6} {
+		opt := DefaultOptions(sched.NewAsyncRandom(), 4)
+		opt.MaxEpochs = 3
+		opt.SensorJitter = jitter
+		probe := &stackProbe{}
+		var res Result
+		withProcs(4, func() {
+			var err error
+			if res, err = Run(probe, start, opt); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+		in, wk := probe.inline.Load(), probe.worker.Load()
+		if wk == 0 || in != 0 {
+			t.Errorf("jitter %g: %d Computes inline, %d on workers; want all on workers", jitter, in, wk)
+		}
+		rows := res.Kernel.RowsComputed + res.Kernel.RowsReused
+		if jitter > 0 && rows == 0 {
+			t.Errorf("jittered run: the engine snapshot served no Look")
+		}
+		if jitter == 0 && rows != 0 {
+			t.Errorf("run without jitter: the engine snapshot served %d rows, want its Looks on the workers", rows)
 		}
 	}
 }

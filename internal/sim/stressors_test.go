@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // collinear triple) and Off otherwise; nobody ever moves. Every snapshot
 // delivered to an end robot (exactly one visible other) is recorded so
 // tests can assert what survivors observe across a crash. Computes may
-// run concurrently (see model.Algorithm), so the log is mutex-guarded.
+// run concurrently (see model.Algorithm), so the log is mutex-guarded,
+// and a snapshot's Others is valid only during its Compute, so the log
+// keeps a copy.
 type beaconProbe struct {
 	mu       sync.Mutex
 	endSnaps []model.Snapshot
@@ -26,7 +29,7 @@ func (*beaconProbe) Palette() []model.Color { return []model.Color{model.Off, mo
 func (p *beaconProbe) Compute(s model.Snapshot) model.Action {
 	if len(s.Others) == 1 {
 		p.mu.Lock()
-		p.endSnaps = append(p.endSnaps, s)
+		p.endSnaps = append(p.endSnaps, model.Snapshot{Self: s.Self, Others: slices.Clone(s.Others)})
 		p.mu.Unlock()
 	}
 	if len(s.Others) == 2 {
