@@ -8,8 +8,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+## test: the tier-1 suite, then TestResultDigests at one proc and at
+## four, so the pipelined and the inline engine are pinned to one digest
+## table on any host.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,4 -count=1 -run '^TestResultDigests$$' ./internal/core
 
 ## lint: run the domain-aware static analysis suite (see DESIGN.md,
 ## "Static invariants"). Fails on any error-severity finding. Every run

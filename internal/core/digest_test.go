@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"luxvis/internal/baseline"
+	"luxvis/internal/circlevis"
 	"luxvis/internal/config"
 	"luxvis/internal/core"
 	"luxvis/internal/model"
@@ -25,6 +27,12 @@ import (
 //	go test ./internal/core -run TestResultDigests -v
 //
 // and copy the reported digests, stating the reason in the change.
+//
+// The n192 rows, which add CircleVis and sensor jitter, are large
+// enough to pipeline Look and Compute on the engine's compute workers
+// whenever the test has two procs to itself, and look and compute inline
+// at one; they hash every field but Kernel (see withoutKernel). Run the
+// test at -cpu 1,4 to pin both ways against the same digest.
 var resultDigests = map[string]string{
 	"logvis/uniform/async-random/n24":      "ddf9eb5aea6cc0f0",
 	"logvis/uniform/async-random/n64":      "bd4f7d00084bb854",
@@ -146,6 +154,13 @@ var resultDigests = map[string]string{
 	"seqvis/spokes/async-stale/n64":        "367011e70cc6115c",
 	"seqvis/spokes/ssync/n24":              "b70bcc784124644c",
 	"seqvis/spokes/ssync/n64":              "cac1cd30b020b063",
+
+	// Pipelined at two procs or more (see above).
+	"logvis/uniform/async-random/n192":              "749f005e0cd6d7ba",
+	"logvis/line/async-random/n192":                 "52fdafd6e87843c4",
+	"seqvis/uniform/async-random/n192":              "aa436399f971269b",
+	"circlevis/uniform/async-random/n192":           "cd89d7bc95ee91fb",
+	"logvis/uniform/async-random/n192/jitter=1e-06": "e0a666db388556ca",
 }
 
 func resultDigest(t *testing.T, res sim.Result) string {
@@ -158,15 +173,36 @@ func resultDigest(t *testing.T, res sim.Result) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// withoutKernel returns res with Kernel zeroed. Kernel is the only
+// Result field that depends on whether the run pipelined: a pipelined
+// run builds its rows on the compute workers and counts none of them
+// (see sim.KernelStats). It stays in Result while perfbench reads it
+// (ROADMAP item 10), so the rows that may pipeline hash without it.
+func withoutKernel(res sim.Result) sim.Result {
+	res.Kernel = sim.KernelStats{}
+	return res
+}
+
 func TestResultDigests(t *testing.T) {
+	logvis := func() model.Algorithm { return core.NewLogVis() }
+	seqvis := func() model.Algorithm { return baseline.NewSeqVis() }
 	algos := []struct {
 		name string
 		new  func() model.Algorithm
 	}{
-		{"logvis", func() model.Algorithm { return core.NewLogVis() }},
-		{"seqvis", func() model.Algorithm { return baseline.NewSeqVis() }},
+		{"logvis", logvis},
+		{"seqvis", seqvis},
 	}
 	seen := 0
+	check := func(key, got string) {
+		t.Helper()
+		seen++
+		if want, ok := resultDigests[key]; !ok {
+			t.Errorf("%q: %q, // not in the table", key, got)
+		} else if got != want {
+			t.Errorf("%q: %q, // table has %s", key, got, want)
+		}
+	}
 	for _, a := range algos {
 		for _, fam := range config.Families() {
 			for _, sc := range []string{"async-random", "async-stale", "ssync"} {
@@ -177,16 +213,41 @@ func TestResultDigests(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					got := resultDigest(t, res)
-					seen++
-					if want, ok := resultDigests[key]; !ok {
-						t.Errorf("%q: %q, // not in the table", key, got)
-					} else if got != want {
-						t.Errorf("%q: %q, // table has %s", key, got, want)
-					}
+					check(key, resultDigest(t, res))
 				}
 			}
 		}
+	}
+	for _, c := range []struct {
+		algo   string
+		new    func() model.Algorithm
+		fam    config.Family
+		jitter float64
+	}{
+		{"logvis", logvis, config.Uniform, 0},
+		{"logvis", logvis, config.Line, 0},
+		{"seqvis", seqvis, config.Uniform, 0},
+		{"circlevis", func() model.Algorithm { return circlevis.NewCircleVis() }, config.Uniform, 0},
+		{"logvis", logvis, config.Uniform, 1e-6},
+	} {
+		const n, seed = 192, 1
+		key := fmt.Sprintf("%s/%s/async-random/n%d", c.algo, c.fam, n)
+		opt := sim.DefaultOptions(sched.NewAsyncRandom(), seed)
+		if c.jitter > 0 {
+			key += fmt.Sprintf("/jitter=%g", c.jitter)
+			opt.SensorJitter = c.jitter
+		}
+		res, err := sim.Run(c.new(), config.Generate(c.fam, n, seed), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		// With two procs for this one run in flight the engine
+		// pipelines, and its own snapshot then serves no Look.
+		if procs := runtime.GOMAXPROCS(0); procs > 1 && res.Kernel.RowsComputed+res.Kernel.RowsReused != 0 {
+			t.Errorf("%s at %d procs: the engine snapshot served %d rows, want a pipelined run",
+				key, procs, res.Kernel.RowsComputed+res.Kernel.RowsReused)
+		}
+		check(key, resultDigest(t, withoutKernel(res)))
 	}
 	if seen != len(resultDigests) {
 		t.Errorf("ran %d cells, table has %d", seen, len(resultDigests))

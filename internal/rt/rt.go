@@ -26,7 +26,7 @@ import (
 
 // Options configures a concurrent run.
 type Options struct {
-	// Seed drives all per-robot randomized delays.
+	// Seed drives all per-robot randomized delays and the sensor jitter.
 	Seed int64
 	// MaxWall aborts the run after this wall-clock duration
 	// (default 30s).
@@ -48,8 +48,9 @@ type Options struct {
 	CrashAfterCycles map[int]int
 	// SensorJitter, when positive, perturbs each coordinate every robot
 	// *observes* during Look by a uniform error in [-SensorJitter,
-	// +SensorJitter]. Ground-truth positions are untouched; only the
-	// snapshot handed to Compute lies.
+	// +SensorJitter], the engine's sim.Jitter keyed by the robot's
+	// completed cycles at the Look. Ground-truth positions are
+	// untouched; only the snapshot handed to Compute lies.
 	SensorJitter float64
 	// Observer receives run callbacks, like sim.Options.Observer, with
 	// two differences dictated by real concurrency: it MUST be
@@ -264,13 +265,10 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 	if after, ok := opt.CrashAfterCycles[id]; ok {
 		crashAfter, hasCrash = after, true
 	}
-	// The jitter rng is separate from the delay rng so sensor error
-	// draws don't shift the timing sequence of an otherwise identical
-	// seed.
-	var jrng *rand.Rand
-	if opt.SensorJitter > 0 {
-		jrng = rand.New(rand.NewSource(int64(uint64(opt.Seed) ^ uint64(id)*0x5ca1ab1ec0ffee)))
-	}
+	jitter := sim.Jitter{Seed: opt.Seed, Amp: opt.SensorJitter}
+	// others backs each Look's snapshot: the robot's previous Compute,
+	// the only reader, has returned by its next Look.
+	var others []model.RobotView
 	myCycles := 0
 	for {
 		// Explicit cancellation poll at the top of every cycle. nap()
@@ -298,20 +296,15 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 		if !nap() {
 			return
 		}
-		// Look.
+		// Look: the row and views are copied out before the lock is
+		// released. Pure computation — no channel operations or
+		// callbacks (the 1-worker kernel never dispatches) — so it is
+		// locksafe-clean under the world lock.
 		w.mu.Lock()
 		lookSeq := w.changeSeq
-		snap := snapshotLocked(w, id)
+		snap := sim.Look(others, id, myCycles, w.vis.Row(id), w.pos, w.col, jitter)
 		w.mu.Unlock()
-		if jrng != nil {
-			// Sensor error: lie to Compute about where the others are;
-			// the world itself is untouched. Outside the lock — the
-			// snapshot is already a private copy.
-			for k := range snap.Others {
-				snap.Others[k].Pos.X += (2*jrng.Float64() - 1) * opt.SensorJitter
-				snap.Others[k].Pos.Y += (2*jrng.Float64() - 1) * opt.SensorJitter
-			}
-		}
+		others = snap.Others
 
 		if !nap() {
 			return
@@ -358,23 +351,6 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 				Event: cyc, Robot: id, Phase: sim.PhaseOf(act.Color), Moved: moving,
 			})
 		}
-	}
-}
-
-// snapshotLocked builds robot id's obstructed-visibility snapshot from
-// its row of the world's visibility snapshot, copied out before the lock
-// is released; the caller holds w.mu. Pure computation — no channel
-// operations or callbacks (the 1-worker kernel never dispatches) — so it
-// is locksafe-clean under the world lock.
-func snapshotLocked(w *world, id int) model.Snapshot {
-	vis := w.vis.Row(id)
-	others := make([]model.RobotView, len(vis))
-	for k, j := range vis {
-		others[k] = model.RobotView{Pos: w.pos[j], Color: w.col[j]}
-	}
-	return model.Snapshot{
-		Self:   model.RobotView{Pos: w.pos[id], Color: w.col[id]},
-		Others: others,
 	}
 }
 

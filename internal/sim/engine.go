@@ -52,11 +52,12 @@ type Options struct {
 	// Visibility among survivors, with crashed robots still obstructing.
 	Crashes []CrashSpec
 	// SensorJitter, when positive, perturbs every observed position in a
-	// snapshot's Others by an independent uniform offset in
-	// [-SensorJitter, +SensorJitter] per coordinate. Only observations
-	// are perturbed — the world, the trace, and all safety checks see
-	// exact positions. Jitter draws come from a dedicated RNG stream, so
-	// the scheduler interleaving of a seed is unchanged.
+	// snapshot's Others by a uniform offset in [-SensorJitter,
+	// +SensorJitter] per coordinate. Only observations are perturbed —
+	// the world, the trace, and all safety checks see exact positions.
+	// Each offset is a hash of the Seed and the observation (see
+	// Jitter), so jitter draws nothing from the scheduler's stream and a
+	// jittered run pipelines like any other.
 	SensorJitter float64
 	// SkipSafetyChecks disables collision and path-crossing
 	// verification (for raw-throughput benchmarks only).
@@ -71,13 +72,12 @@ type Options struct {
 	// executes (see the Observer interface). A nil Observer is the
 	// benchmark path: disabled observation costs one branch per event,
 	// and a run of at least 96 robots with two procs (GOMAXPROCS) to
-	// itself hands each robot's Look (unless SensorJitter is set) and
-	// Compute to a per-run worker pool at its Look event (see
-	// pipeline.go). With an Observer attached, Looks and Computes run
-	// inline at their events, so for such runs the gap between a nil
-	// and a no-op Observer includes the pipelining gain, and
-	// epoch-boundary samples are computed even when SampleEpochs is
-	// false (they feed EpochEnd).
+	// itself hands each robot's Look and Compute to a per-run worker
+	// pool at its Look event (see pipeline.go). With an Observer
+	// attached, Looks and Computes run inline at their events, so for
+	// such runs the gap between a nil and a no-op Observer includes the
+	// pipelining gain, and epoch-boundary samples are computed even
+	// when SampleEpochs is false (they feed EpochEnd).
 	Observer Observer
 }
 
@@ -243,7 +243,7 @@ type Result struct {
 // them, and whether a run pipelines depends on GOMAXPROCS and on the
 // runs in flight, not on the run's inputs. So two runs of the same
 // inputs may report different row counters; every other field of the
-// Result is the same.
+// Result is the same, sensor jitter included.
 type KernelStats struct {
 	// RowsComputed counts visibility rows computed from scratch.
 	RowsComputed int64
@@ -362,10 +362,8 @@ type engine struct {
 	// compacted status view.
 	aliveIdx []int
 	stBuf    []sched.Status
-	// jrng is the dedicated sensor-jitter stream (nil unless
-	// SensorJitter > 0); kept apart from rng so jitter draws never shift
-	// the scheduler interleaving.
-	jrng *rand.Rand
+	// jitter is the run's sensor jitter (Options.Seed and SensorJitter).
+	jitter Jitter
 	// pool runs Looks and Computes off the event loop, started at the
 	// Look event and joined at the Compute event (see pipeline.go); nil
 	// looks and computes inline.
@@ -452,12 +450,10 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 		epochBase:     make([]int, n),
 		cvCacheAt:     -1,
 		robotDist:     make([]float64, n),
+		jitter:        Jitter{Seed: opt.Seed, Amp: opt.SensorJitter},
 	}
 	if len(opt.Crashes) > 0 {
 		e.crashPending = append([]CrashSpec(nil), opt.Crashes...)
-	}
-	if opt.SensorJitter > 0 {
-		e.jrng = rand.New(rand.NewSource(opt.Seed ^ jitterSeedSalt))
 	}
 	for _, c := range algo.Palette() {
 		e.palette[c] = true
@@ -494,7 +490,7 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 	// condition stays until that tracer is made concurrency-safe
 	// (ROADMAP item 1).
 	if e.obs == nil {
-		e.pool = newComputePool(algo, n, inFlight)
+		e.pool = newComputePool(algo, n, inFlight, e.jitter)
 	}
 	if e.pool != nil {
 		defer e.pool.close()
@@ -564,17 +560,12 @@ func (e *engine) advance(r int) {
 
 // doLook takes robot r's snapshot of the current world. A pipelined run
 // hands the pool a copy of the world, from which a worker builds the
-// snapshot, unless the run jitters its sensors: jitter draws must follow
-// the event order, so such a run takes the snapshot here, as an inline
-// run does, and hands the pool only the Compute.
+// snapshot.
 func (e *engine) doLook(r int) {
-	if e.pool != nil && e.jrng == nil {
-		e.pool.submit(r, e.pos, e.col)
+	if e.pool != nil {
+		e.pool.submit(r, e.st[r].Cycles, e.pos, e.col)
 	} else {
 		e.look(r)
-		if e.pool != nil {
-			e.pool.submitLooked(r, e.snap[r])
-		}
 	}
 	e.st[r].Stage = sched.Looked
 	e.snapLook[r] = e.now
@@ -595,17 +586,30 @@ func (e *engine) look(r int) {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
-	others := e.snap[r].Others[:0]
-	for _, j := range vis {
-		others = append(others, model.RobotView{Pos: e.pos[j], Color: e.col[j]})
+	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, vis, e.pos, e.col, e.jitter)
+}
+
+// Look assembles robot r's snapshot of the world pos and col: Self is r,
+// exact, and Others maps r's visibility row (indices into pos) to views,
+// in row order, with jitter applied to each position. look is
+// r's Look index, the cycles it had completed at the Look, which keys
+// the jitter. Others is built in the backing array of others,
+// which the caller must no longer read. Every Look the engine, its
+// compute workers and the goroutine runtime (internal/rt) take goes
+// through here.
+func Look(others []model.RobotView, r, look int, row []int, pos []geom.Point, col []model.Color, jitter Jitter) model.Snapshot {
+	others = others[:0]
+	for _, j := range row {
+		others = append(others, model.RobotView{Pos: pos[j], Color: col[j]})
 	}
-	if e.opt.SensorJitter > 0 {
-		e.jitterViews(others)
+	if jitter.Amp > 0 {
+		key := jitter.lookKey(r, look)
+		for k := range others {
+			others[k].Pos.X += jitter.offset(key, k, 0)
+			others[k].Pos.Y += jitter.offset(key, k, 1)
+		}
 	}
-	e.snap[r] = model.Snapshot{
-		Self:   model.RobotView{Pos: e.pos[r], Color: e.col[r]},
-		Others: others,
-	}
+	return model.Snapshot{Self: model.RobotView{Pos: pos[r], Color: col[r]}, Others: others}
 }
 
 // doCompute runs the algorithm on robot r's held snapshot (or joins the

@@ -23,12 +23,11 @@ import (
 // Look event's bookkeeping (stage, snapshot time, trace) and everything
 // the Compute event does with the action (target and palette checks,
 // light publish, move arming) stay on the Run goroutine in event order.
-// A run with sensor jitter takes its snapshots on the Run goroutine,
-// because the jitter draws must follow the event order, and hands the
-// pool only the Computes. Other runs look and compute inline. RunCtx
-// decides which: a run with an Observer (see there) never pipelines,
-// and newComputePool decides the rest from the swarm size, GOMAXPROCS
-// and the number of runs in flight in the process.
+// The worker applies sensor jitter too, a function of the Look alone
+// (see Jitter). Other runs look and compute inline. RunCtx decides
+// which: a run with an Observer (see there) never pipelines, and
+// newComputePool decides the rest from the swarm size, GOMAXPROCS and
+// the number of runs in flight in the process.
 
 // pipelineMinRobots is the smallest swarm whose run pipelines. Below it
 // a Compute costs about as much as handing it to a worker and waking
@@ -50,8 +49,8 @@ var runsInFlight atomic.Int64
 var computePanicLog io.Writer = os.Stderr
 
 // computePool runs robots' Looks and Computes on GOMAXPROCS workers. It
-// is owned by one engine loop: submit, submitLooked, wait and close are
-// called from the Run goroutine only.
+// is owned by one engine loop: submit, wait and close are called from
+// the Run goroutine only.
 //
 // At most one job per robot is ever outstanding — a robot's next Look
 // comes after the Compute event that waits for the previous one — so
@@ -60,6 +59,7 @@ var computePanicLog io.Writer = os.Stderr
 // leaves its result unread; close discards it.
 type computePool struct {
 	algo    model.Algorithm
+	jitter  Jitter
 	jobs    chan computeJob
 	results []chan computeResult
 	quit    chan struct{}
@@ -78,12 +78,11 @@ type world struct {
 // handoff allocates nothing.
 var worlds = sync.Pool{New: func() any { return new(world) }}
 
-// computeJob is one robot's Look awaiting its row and Compute, or,
-// when world is nil, its snapshot awaiting the Compute.
+// computeJob is one robot's Look awaiting its row and Compute; look is
+// the robot's Look index (see Look).
 type computeJob struct {
-	robot int
-	world *world
-	snap  model.Snapshot
+	robot, look int
+	world       *world
 }
 
 // computeResult is a finished Compute: the action, or the non-nil
@@ -109,17 +108,19 @@ type looker struct {
 // a looker holds no resources beyond its memory and needs no Close.
 var lookers = sync.Pool{New: func() any { return &looker{vis: geom.NewKernel(1).NewSnapshot()} }}
 
-// newComputePool returns a running pool for a swarm of n robots, or nil
-// when the run should look and compute inline: the swarm is below
-// pipelineMinRobots, or there are fewer than two procs (GOMAXPROCS) for
-// each of the inFlight runs executing now, this one included.
-func newComputePool(algo model.Algorithm, n int, inFlight int64) *computePool {
+// newComputePool returns a running pool for a swarm of n robots whose
+// Looks observe with jitter, or nil when the run should look and compute
+// inline: the swarm is below pipelineMinRobots, or there are fewer than
+// two procs (GOMAXPROCS) for each of the inFlight runs executing now,
+// this one included.
+func newComputePool(algo model.Algorithm, n int, inFlight int64, jitter Jitter) *computePool {
 	workers := runtime.GOMAXPROCS(0)
 	if n < pipelineMinRobots || int64(workers) < 2*inFlight {
 		return nil
 	}
 	p := &computePool{
 		algo:    algo,
+		jitter:  jitter,
 		jobs:    make(chan computeJob, n),
 		results: make([]chan computeResult, n),
 		quit:    make(chan struct{}),
@@ -134,18 +135,13 @@ func newComputePool(algo model.Algorithm, n int, inFlight int64) *computePool {
 	return p
 }
 
-// submit starts robot r's Look and Compute on a copy of pos and col.
-func (p *computePool) submit(r int, pos []geom.Point, col []model.Color) {
+// submit starts robot r's look-th Look and its Compute on a copy of pos
+// and col.
+func (p *computePool) submit(r, look int, pos []geom.Point, col []model.Color) {
 	w := worlds.Get().(*world)
 	w.pos = append(w.pos[:0], pos...)
 	w.col = append(w.col[:0], col...)
-	p.jobs <- computeJob{robot: r, world: w}
-}
-
-// submitLooked starts robot r's Compute on snapshot s, taken on the Run
-// goroutine.
-func (p *computePool) submitLooked(r int, s model.Snapshot) {
-	p.jobs <- computeJob{robot: r, snap: s}
+	p.jobs <- computeJob{robot: r, look: look, world: w}
 }
 
 // wait returns robot r's action, blocking until its Compute finishes.
@@ -184,27 +180,22 @@ func (p *computePool) worker() {
 		case <-p.quit:
 			return
 		case j := <-p.jobs:
-			s := j.snap
-			if j.world != nil {
-				s = l.look(j.robot, j.world)
-				worlds.Put(j.world)
-			}
+			s := l.look(j, p.jitter)
+			worlds.Put(j.world)
 			p.results[j.robot] <- p.compute(s)
 		}
 	}
 }
 
-// look builds robot r's snapshot of world w. The row comes from the
-// worker's own visibility snapshot, reloaded with w's positions, so it
-// is exactly the row an inline Look of the same world reads. Others
-// aliases the looker's buffer and is valid until the next look.
-func (l *looker) look(r int, w *world) model.Snapshot {
-	l.vis.Reset(w.pos)
-	l.others = l.others[:0]
-	for _, j := range l.vis.Row(r) {
-		l.others = append(l.others, model.RobotView{Pos: w.pos[j], Color: w.col[j]})
-	}
-	return model.Snapshot{Self: model.RobotView{Pos: w.pos[r], Color: w.col[r]}, Others: l.others}
+// look builds job j's snapshot of its world. The row comes from the
+// worker's own visibility snapshot, reloaded with the world's positions,
+// so it is exactly the row an inline Look of the same world reads.
+// Others aliases the looker's buffer and is valid until the next look.
+func (l *looker) look(j computeJob, jitter Jitter) model.Snapshot {
+	l.vis.Reset(j.world.pos)
+	s := Look(l.others, j.robot, j.look, l.vis.Row(j.robot), j.world.pos, j.world.col, jitter)
+	l.others = s.Others
+	return s
 }
 
 // compute runs one Compute, capturing a panic as a result.

@@ -85,7 +85,7 @@ func TestComputePoolGating(t *testing.T) {
 	}
 	for _, c := range cases {
 		withProcs(c.procs, func() {
-			p := newComputePool(stayAlgo{}, c.n, c.inFlight)
+			p := newComputePool(stayAlgo{}, c.n, c.inFlight, Jitter{})
 			if p != nil {
 				p.close()
 			}
@@ -196,13 +196,9 @@ func TestPipelinedComputeMatchesInline(t *testing.T) {
 					if len(inline.Trace) == 0 {
 						t.Fatal("empty trace")
 					}
-					if st.name != "jitter" {
-						// Jittered runs look inline at any proc count, so
-						// their row counters must match too.
-						checkRowCounts(t, inline, piped)
-						inline.Kernel.RowsComputed, inline.Kernel.RowsReused = 0, 0
-						piped.Kernel.RowsComputed, piped.Kernel.RowsReused = 0, 0
-					}
+					checkRowCounts(t, inline, piped)
+					inline.Kernel.RowsComputed, inline.Kernel.RowsReused = 0, 0
+					piped.Kernel.RowsComputed, piped.Kernel.RowsReused = 0, 0
 					if !reflect.DeepEqual(inline, piped) {
 						t.Fatalf("pipelined run diverged from inline:\ninline:    events=%d epochs=%d moves=%d crossings=%d reached=%v kernel=%+v\npipelined: events=%d epochs=%d moves=%d crossings=%d reached=%v kernel=%+v",
 							inline.Events, inline.Epochs, inline.Moves, inline.PathCrossings, inline.Reached, inline.Kernel,
@@ -267,59 +263,6 @@ func TestPipelinedLookTracksMoves(t *testing.T) {
 						inline.Events, piped.Events, inline.Moves, piped.Moves, inline.Final, piped.Final)
 				}
 			})
-		}
-	}
-}
-
-// stackProbe stays put and records whether every Compute ran inside
-// the engine's Compute event on the Run goroutine, or every one on a
-// compute worker.
-type stackProbe struct {
-	stayAlgo
-	inline, worker atomic.Int64
-}
-
-func (p *stackProbe) Compute(s model.Snapshot) model.Action {
-	buf := make([]byte, 16<<10)
-	st := string(buf[:runtime.Stack(buf, false)])
-	if strings.Contains(st, "(*engine).doCompute(") {
-		p.inline.Add(1)
-	}
-	if strings.Contains(st, "(*computePool).worker(") {
-		p.worker.Add(1)
-	}
-	return p.stayAlgo.Compute(s)
-}
-
-// TestJitteredRunLooksInline: sensor-jitter draws must follow the event
-// order, so a jittered run takes its Looks on the Run goroutine, from
-// the engine's snapshot, whose row counters then count them (see
-// KernelStats), while its Computes still run on the workers. The same
-// run without jitter builds its rows on the workers and counts none.
-func TestJitteredRunLooksInline(t *testing.T) {
-	start := config.Generate(config.Uniform, 12, 4)
-	for _, jitter := range []float64{0, 1e-6} {
-		opt := DefaultOptions(sched.NewAsyncRandom(), 4)
-		opt.MaxEpochs = 3
-		opt.SensorJitter = jitter
-		probe := &stackProbe{}
-		var res Result
-		withProcs(4, func() {
-			var err error
-			if res, err = Run(probe, start, opt); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-		})
-		in, wk := probe.inline.Load(), probe.worker.Load()
-		if wk == 0 || in != 0 {
-			t.Errorf("jitter %g: %d Computes inline, %d on workers; want all on workers", jitter, in, wk)
-		}
-		rows := res.Kernel.RowsComputed + res.Kernel.RowsReused
-		if jitter > 0 && rows == 0 {
-			t.Errorf("jittered run: the engine snapshot served no Look")
-		}
-		if jitter == 0 && rows != 0 {
-			t.Errorf("run without jitter: the engine snapshot served %d rows, want its Looks on the workers", rows)
 		}
 	}
 }

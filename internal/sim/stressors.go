@@ -2,8 +2,8 @@
 // faults, sensor jitter and non-rigid truncation distributions. Each
 // stressor is an orthogonal Options knob with a disabled fast path that
 // leaves the clean engine byte-for-byte identical: a run whose crashes
-// have not fired yet, or whose jitter amplitude is zero, consumes the
-// exact same random stream as a run without the knob, so the
+// have not fired yet consumes the exact same random stream as a run
+// without the knob, and sensor jitter consumes none, so the
 // deterministic-prefix semantics of RunCtx are preserved.
 package sim
 
@@ -14,7 +14,6 @@ import (
 
 	"luxvis/internal/exact"
 	"luxvis/internal/geom"
-	"luxvis/internal/model"
 	"luxvis/internal/sched"
 )
 
@@ -84,12 +83,6 @@ func validNonRigidDist(d NonRigidDist) bool {
 func DefaultMaxEvents(maxEpochs, n int) int {
 	return maxEpochs*n*16 + 100_000
 }
-
-// jitterSeedSalt decorrelates the sensor-jitter stream from the
-// scheduler stream: both derive from Options.Seed, but jitter draws
-// never advance the scheduler's RNG, so enabling jitter preserves the
-// run's interleaving exactly.
-const jitterSeedSalt = 0x5ca1ab1ec0ffee
 
 // validateStressors checks the stressor knobs of opt for a run of n
 // robots. It is called by RunCtx after the scheduler/start validation.
@@ -280,15 +273,43 @@ func (e *engine) drawMoveFrac() float64 {
 	}
 }
 
-// jitterViews perturbs the observed positions of a snapshot's others
-// by an independent uniform offset in [-SensorJitter, +SensorJitter]
-// per coordinate. The observer's own position is its coordinate origin
-// and stays exact, and the world itself is never touched — only what
-// the algorithm sees.
-func (e *engine) jitterViews(others []model.RobotView) {
-	j := e.opt.SensorJitter
-	for i := range others {
-		others[i].Pos.X += (2*e.jrng.Float64() - 1) * j
-		others[i].Pos.Y += (2*e.jrng.Float64() - 1) * j
-	}
+// Jitter is a run's sensor error: every observed position is off by a
+// uniform offset in [-Amp, +Amp] on each coordinate. A zero Amp
+// observes exactly.
+//
+// The offset on one coordinate of one observation is a counter-based
+// hash of Seed, the observing robot, its Look index, the view's slot in
+// Others and the axis (Salmon et al., "Parallel Random Numbers: As Easy
+// as 1, 2, 3", SC 2011; here SplitMix64's mixer over each key in turn).
+// The error is therefore a pure function of the Look, like the Look
+// itself: it is the same whenever and on whichever goroutine the Look is
+// assembled, and it shares no stream with the scheduler or, in
+// internal/rt, with a robot's delays.
+type Jitter struct {
+	Seed int64
+	Amp  float64
+}
+
+// lookKey hashes the keys that one Look's offsets share: Seed, the
+// observing robot and its look index.
+func (s Jitter) lookKey(robot, look int) uint64 {
+	return splitMix64(splitMix64(splitMix64(uint64(s.Seed))^uint64(robot)) ^ uint64(look))
+}
+
+// offset returns the error on coordinate axis (0 for x, 1 for y) of the
+// view in slot of the Look keyed by key (see lookKey): (2u-1)·Amp for u
+// in [0, 1).
+func (s Jitter) offset(key uint64, slot, axis int) float64 {
+	h := splitMix64(key ^ uint64(slot)<<1 ^ uint64(axis))
+	u := float64(h>>11) / (1 << 53)
+	return (2*u - 1) * s.Amp
+}
+
+// splitMix64 is one step of Steele et al.'s SplitMix64 generator: the
+// golden-ratio increment followed by its 64-bit finalizer.
+func splitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -369,3 +369,64 @@ func TestSensorJitterPerturbsOnlyObservations(t *testing.T) {
 			res.Events, res.Epochs, clean.Events, clean.Epochs)
 	}
 }
+
+// TestJitterOffset pins the jitter generator's contract: an offset
+// is a pure function of (seed, robot, Look index, slot, axis), stays
+// within the amplitude, moves when any one key moves, and robot 0's
+// offsets are not the draws of a math/rand source of the run's seed —
+// the goroutine runtime seeds robot 0's delay stream with exactly that
+// source.
+func TestJitterOffset(t *testing.T) {
+	const J = 0.25
+	type key struct{ seed, robot, look, slot, axis int }
+	offset := func(k key) float64 {
+		s := Jitter{Seed: int64(k.seed), Amp: J}
+		return s.offset(s.lookKey(k.robot, k.look), k.slot, k.axis)
+	}
+	base := key{seed: 7, robot: 3, look: 5, slot: 2, axis: 0}
+	for _, c := range []struct {
+		name string
+		k    key
+	}{
+		{"seed", key{8, 3, 5, 2, 0}},
+		{"robot", key{7, 4, 5, 2, 0}},
+		{"look", key{7, 3, 6, 2, 0}},
+		{"slot", key{7, 3, 5, 3, 0}},
+		{"axis", key{7, 3, 5, 2, 1}},
+		{"robot 0", key{7, 0, 5, 2, 0}},
+		{"negative seed", key{-7, 3, 5, 2, 0}},
+	} {
+		if a, b := offset(base), offset(c.k); a == b {
+			t.Errorf("changing the %s leaves the offset at %v", c.name, a)
+		}
+	}
+	for seed := 0; seed < 4; seed++ {
+		for robot := 0; robot < 8; robot++ {
+			for look := 0; look < 8; look++ {
+				for slot := 0; slot < 8; slot++ {
+					for axis := 0; axis < 2; axis++ {
+						k := key{seed, robot, look, slot, axis}
+						o := offset(k)
+						if !(o >= -J && o <= J) {
+							t.Fatalf("%+v: offset %v outside [-%v, %v]", k, o, J, J)
+						}
+						if again := offset(k); again != o {
+							t.Fatalf("%+v: offset %v, then %v", k, o, again)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, seed := range []int{0, 1, 7} {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for slot := 0; slot < 4; slot++ {
+			for axis := 0; axis < 2; axis++ {
+				draw := (2*rng.Float64() - 1) * J
+				if o := offset(key{seed, 0, 0, slot, axis}); o == draw {
+					t.Errorf("seed %d: robot 0's offset at slot %d axis %d is the math/rand draw %v", seed, slot, axis, draw)
+				}
+			}
+		}
+	}
+}
