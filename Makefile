@@ -30,12 +30,13 @@ vet:
 ## race: the concurrent runtime (one goroutine per robot), the engine,
 ## the HTTP service, the observability layer, the stream hub, the
 ## parallel visibility kernel, LogVis and CircleVis (concurrent Computes
-## on pooled scratch) under the race detector. The engine and obs
+## on pooled scratch), and the lint engine (packages analyzed in
+## parallel over shared module summaries) under the race detector. The engine and obs
 ## packages run at -cpu 1,4: one proc looks and computes inline; with
 ## four, the sim tests (which lower the 96-robot pipelining floor to 1)
 ## pipeline Look and Compute on the engine's worker pool.
 race:
-	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/... ./internal/core/... ./internal/circlevis/...
+	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/... ./internal/core/... ./internal/circlevis/... ./internal/lint/... ./cmd/vislint/...
 	$(GO) test -race -cpu 1,4 ./internal/sim/... ./internal/obs/...
 
 ## bench-smoke: every benchmark compiles and completes one iteration

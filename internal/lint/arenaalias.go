@@ -43,10 +43,9 @@ func (ArenaAlias) Doc() string {
 
 // Check implements Analyzer.
 func (a ArenaAlias) Check(p *Package, m *Module) []Finding {
-	g := p.CallGraph()
 	var out []Finding
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
+	for _, fn := range m.Funcs(p) {
+		fd := m.Decl(fn)
 		for _, frame := range framesOf(fd) {
 			out = append(out, a.checkFrame(p, m, fd.Name.Name, frame)...)
 		}
@@ -153,7 +152,10 @@ func (a ArenaAlias) staleReads(p *Package, m *Module, name string, frame ast.Nod
 		if !ok {
 			return true
 		}
-		if m.arenaSourceCall(p, call) || isArenaInvalidator(p, call) {
+		// A Snapshot's Update, Reset, Row or ComputeAll may rewrite
+		// outstanding rows.
+		if m.arenaSourceCall(p, call) ||
+			isSnapshotMethod(p.StaticCallee(call), "Update", "Reset", "Row", "ComputeAll") {
 			invalidators = append(invalidators, call.Pos())
 		}
 		return true
@@ -189,38 +191,4 @@ func (a ArenaAlias) staleReads(p *Package, m *Module, name string, frame ast.Nod
 		return true
 	})
 	return out
-}
-
-// isArenaInvalidator reports whether call touches a kernel snapshot in
-// a way that may rewrite outstanding rows: geom.Snapshot's Update,
-// Reset, Row or ComputeAll.
-func isArenaInvalidator(p *Package, call *ast.CallExpr) bool {
-	fn := p.StaticCallee(call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	if path != "luxvis/internal/geom" && path != "internal/geom" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	if named.Obj().Name() != "Snapshot" {
-		return false
-	}
-	switch fn.Name() {
-	case "Update", "Reset", "Row", "ComputeAll":
-		return true
-	}
-	return false
 }

@@ -7,71 +7,50 @@ import (
 	"strings"
 )
 
-// CallGraph is the intra-package static call graph: one node per
-// function or method declared in the package, one edge per direct call
-// between them. It is what lets analyzers reason across function
+// The module's call graph: one node per function or method declared
+// (with a body) in a module package, one edge per static call in its
+// outer frame to another such function, in the same package or across
+// a package boundary. It is what lets analyzers reason across function
 // boundaries — "does this call, transitively, send on a channel?" —
 // instead of staring at one body at a time.
 //
-// The graph is deliberately static and local: dynamic dispatch through
-// interfaces, function values passed around, and cross-package calls
-// are not edges. That under-approximates reachability (a finding the
-// graph cannot see is a finding not reported), which is the right
-// failure mode for a build gate; the analyzers that use it (locksafe,
-// wireformat) document what slips through.
-type CallGraph struct {
-	p     *Package
-	funcs []*types.Func // declaration order
-	decls map[*types.Func]*ast.FuncDecl
-	edges map[*types.Func][]CallEdge
-}
+// The graph is deliberately static: dynamic dispatch through
+// interfaces and function values passed around are not edges. That
+// under-approximates reachability (a finding the graph cannot see is a
+// finding not reported), which is the right failure mode for a build
+// gate; the analyzers that use it document what slips through.
 
-// CallEdge is one direct call from a declared function to another
-// function declared in the same package.
+// CallEdge is one static call from a declared function to another
+// function declared in the module.
 type CallEdge struct {
 	Callee *types.Func
-	// Pos is the first call site of Callee inside the caller.
+	// Pos is the call site inside the caller.
 	Pos token.Pos
 }
 
-// NewCallGraph builds the call graph of p. Prefer Package.CallGraph,
-// which memoizes.
-func NewCallGraph(p *Package) *CallGraph {
-	g := &CallGraph{
-		p:     p,
-		decls: make(map[*types.Func]*ast.FuncDecl),
-		edges: make(map[*types.Func][]CallEdge),
+// Funcs returns the functions declared (with a body) in p, in
+// declaration order.
+func (m *Module) Funcs(p *Package) []*types.Func { return m.funcs[p] }
+
+// Decl returns the AST declaration of fn, or nil when fn is not
+// declared (with a body) in the module.
+func (m *Module) Decl(fn *types.Func) *ast.FuncDecl {
+	if n := m.fns[fn]; n != nil {
+		return n.decl
 	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			g.funcs = append(g.funcs, obj)
-			g.decls[obj] = fd
-		}
-	}
-	for _, fn := range g.funcs {
-		g.edges[fn] = g.collectCalls(g.decls[fn])
-	}
-	return g
+	return nil
 }
 
-// collectCalls gathers the package-local callees of one declaration's
-// outer frame, in call-site order. Calls inside `go` statements and
-// stored function literals are not edges: they do not execute when the
-// function itself is called, which is the semantics the propagation
-// pass (and its clients: "does calling this block?") needs.
-func (g *CallGraph) collectCalls(fd *ast.FuncDecl) []CallEdge {
-	return staticCalls(g.p, fd.Body, func(fn *types.Func) bool {
-		_, declared := g.decls[fn]
-		return declared // not cross-package, and has a body here
-	})
+// Callees returns fn's direct module-local callees, in call-site order.
+// Calls inside `go` statements and stored function literals are not
+// edges: they do not execute when fn itself is called, which is the
+// semantics the propagation pass (and its clients: "does calling this
+// block?") needs.
+func (m *Module) Callees(fn *types.Func) []CallEdge {
+	if n := m.fns[fn]; n != nil {
+		return n.calls
+	}
+	return nil
 }
 
 // staticCalls is the one call-site walker: it lists the in-frame calls
@@ -144,16 +123,6 @@ func framesOf(fd *ast.FuncDecl) []ast.Node {
 	return frames
 }
 
-// Funcs returns the declared functions in declaration order.
-func (g *CallGraph) Funcs() []*types.Func { return g.funcs }
-
-// Decl returns the AST declaration of fn, or nil when fn is not
-// declared (with a body) in this package.
-func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
-
-// Callees returns fn's direct package-local callees.
-func (g *CallGraph) Callees(fn *types.Func) []CallEdge { return g.edges[fn] }
-
 // Reach is the answer to "can fn, transitively, perform the operation a
 // direct-op map describes?" — the call-graph propagation primitive the
 // concurrency analyzers are built on.
@@ -161,7 +130,8 @@ type Reach struct {
 	// Desc describes the reached operation.
 	Desc string
 	// Pos is the operation's own position (inside the function where it
-	// physically occurs).
+	// physically occurs), or the call site that crosses into another
+	// package on the way to it.
 	Pos token.Pos
 	// Via is the call chain from the queried function down to the
 	// operation's function, as function names; empty for a direct hit.
@@ -177,21 +147,44 @@ func (r *Reach) Chain() string {
 	return strings.Join(r.Via, " → ")
 }
 
-// Propagate computes, for every declared function, whether it can reach
-// one of the direct operations — in its own body or through any chain
-// of package-local calls — and with what witness. direct maps functions
-// to their own first in-body operation. The result maps every function
-// that reaches an operation to a Reach; functions that cannot are
-// absent. Cycles (recursion) are handled; the witness chain is the
+// through is the one fold of a callee's fact into a caller: the same
+// operation, reached at pos by calling callee from package p, with
+// callee prepended to the witness chain.
+func (r *Reach) through(p *Package, callee *types.Func, pos token.Pos) Reach {
+	return Reach{Desc: r.Desc, Pos: pos, Via: append([]string{crossName(p, callee)}, r.Via...)}
+}
+
+// last returns the function at the end of a non-empty witness chain:
+// the one whose body performs the operation.
+func (r *Reach) last() string { return r.Via[len(r.Via)-1] }
+
+// mergeReach records r in *dst if *dst is empty or r is earlier in
+// source order: a function's witness is its earliest direct operation
+// or cross-package call site.
+func mergeReach(dst **Reach, r Reach) {
+	if *dst != nil && (*dst).Pos <= r.Pos {
+		return
+	}
+	*dst = &r
+}
+
+// Propagate computes, for every function declared in p, whether it can
+// reach one of the direct operations — in its own body or through any
+// chain of package-local calls — and with what witness. direct maps
+// functions to their own first in-body operation (a fact folded in from
+// another package's summary counts as direct). The result maps every
+// function that reaches an operation to a Reach; functions that cannot
+// are absent. Cycles (recursion) are handled; the witness chain is the
 // first one found in deterministic declaration/call order.
-func (g *CallGraph) Propagate(direct map[*types.Func]Reach) map[*types.Func]*Reach {
+func (m *Module) Propagate(p *Package, direct map[*types.Func]Reach) map[*types.Func]*Reach {
 	const (
 		unvisited = iota
 		visiting
 		done
 	)
-	state := make(map[*types.Func]int, len(g.funcs))
-	memo := make(map[*types.Func]*Reach, len(g.funcs))
+	funcs := m.funcs[p]
+	state := make(map[*types.Func]int, len(funcs))
+	memo := make(map[*types.Func]*Reach, len(funcs))
 	var visit func(fn *types.Func) *Reach
 	visit = func(fn *types.Func) *Reach {
 		switch state[fn] {
@@ -202,26 +195,23 @@ func (g *CallGraph) Propagate(direct map[*types.Func]Reach) map[*types.Func]*Rea
 		}
 		state[fn] = visiting
 		if d, ok := direct[fn]; ok {
-			// A direct fact may already carry a chain (a cross-package
-			// call summarized by the module graph); preserve it.
-			memo[fn] = &Reach{Desc: d.Desc, Pos: d.Pos, Via: d.Via}
-			state[fn] = done
-			return memo[fn]
-		}
-		for _, e := range g.edges[fn] {
-			if r := visit(e.Callee); r != nil {
-				memo[fn] = &Reach{
-					Desc: r.Desc,
-					Pos:  r.Pos,
-					Via:  append([]string{e.Callee.Name()}, r.Via...),
+			memo[fn] = &d
+		} else {
+			for _, e := range m.fns[fn].calls {
+				if m.fns[e.Callee].pkg != p {
+					continue // cross-package facts arrive through direct
 				}
-				break
+				if r := visit(e.Callee); r != nil {
+					w := r.through(p, e.Callee, r.Pos)
+					memo[fn] = &w
+					break
+				}
 			}
 		}
 		state[fn] = done
 		return memo[fn]
 	}
-	for _, fn := range g.funcs {
+	for _, fn := range funcs {
 		visit(fn)
 	}
 	return memo
@@ -253,14 +243,6 @@ func (p *Package) StaticCallee(call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// CallGraphOf memoizes NewCallGraph per package, so the analyzers that
-// need the graph (locksafe, wireformat) build it once even when they
-// run in the same engine pass.
-func (p *Package) CallGraph() *CallGraph {
-	p.cgOnce.Do(func() { p.cg = NewCallGraph(p) })
-	return p.cg
 }
 
 // exprString renders a (small) expression for finding messages: mutex

@@ -42,9 +42,9 @@ func checkedFixture(t *testing.T, src string) *lint.Package {
 	return pkg
 }
 
-func fnByName(t *testing.T, g *lint.CallGraph, name string) *types.Func {
+func fnByName(t *testing.T, m *lint.Module, p *lint.Package, name string) *types.Func {
 	t.Helper()
-	for _, fn := range g.Funcs() {
+	for _, fn := range m.Funcs(p) {
 		if fn.Name() == name {
 			return fn
 		}
@@ -53,9 +53,9 @@ func fnByName(t *testing.T, g *lint.CallGraph, name string) *types.Func {
 	return nil
 }
 
-func calleeNames(g *lint.CallGraph, fn *types.Func) []string {
+func calleeNames(m *lint.Module, fn *types.Func) []string {
 	var out []string
-	for _, e := range g.Callees(fn) {
+	for _, e := range m.Callees(fn) {
 		out = append(out, e.Callee.Name())
 	}
 	return out
@@ -63,13 +63,10 @@ func calleeNames(g *lint.CallGraph, fn *types.Func) []string {
 
 func TestCallGraphEdges(t *testing.T) {
 	pkg := checkedFixture(t, callgraphFixture)
-	g := pkg.CallGraph()
+	m := lint.NewModule([]*lint.Package{pkg})
 
-	if got := len(g.Funcs()); got != 10 {
+	if got := len(m.Funcs(pkg)); got != 10 {
 		t.Fatalf("Funcs() = %d functions; want 10", got)
-	}
-	if g != pkg.CallGraph() {
-		t.Error("CallGraph() is not memoized")
 	}
 
 	cases := map[string][]string{
@@ -82,7 +79,7 @@ func TestCallGraphEdges(t *testing.T) {
 		"goLaunch":    nil, // go launch runs outside the caller
 	}
 	for name, want := range cases {
-		got := calleeNames(g, fnByName(t, g, name))
+		got := calleeNames(m, fnByName(t, m, pkg, name))
 		if len(got) != len(want) {
 			t.Errorf("Callees(%s) = %v; want %v", name, got, want)
 			continue
@@ -98,29 +95,29 @@ func TestCallGraphEdges(t *testing.T) {
 
 func TestCallGraphPropagate(t *testing.T) {
 	pkg := checkedFixture(t, callgraphFixture)
-	g := pkg.CallGraph()
-	c := fnByName(t, g, "c")
+	m := lint.NewModule([]*lint.Package{pkg})
+	c := fnByName(t, m, pkg, "c")
 
 	direct := map[*types.Func]lint.Reach{
-		c: {Desc: "does the forbidden thing", Pos: g.Decl(c).Pos()},
+		c: {Desc: "does the forbidden thing", Pos: m.Decl(c).Pos()},
 	}
-	reach := g.Propagate(direct)
+	reach := m.Propagate(pkg, direct)
 
-	if r := reach[fnByName(t, g, "a")]; r == nil {
+	if r := reach[fnByName(t, m, pkg, "a")]; r == nil {
 		t.Error("a does not reach c")
 	} else if chain := r.Chain(); chain != "b → c" {
 		// a's first edge is b, and b reaches c; the witness follows the
 		// first chain in declaration/call order.
 		t.Errorf("a's witness chain = %q; want %q", chain, "b → c")
 	}
-	if r := reach[fnByName(t, g, "b")]; r == nil || r.Chain() != "c" {
+	if r := reach[fnByName(t, m, pkg, "b")]; r == nil || r.Chain() != "c" {
 		t.Errorf("b's reach = %+v; want chain c", r)
 	}
 	if r := reach[c]; r == nil || r.Chain() != "" {
 		t.Errorf("c's reach = %+v; want direct (empty chain)", r)
 	}
 	for _, name := range []string{"loop1", "loop2", "dynamic", "stored", "goLaunch"} {
-		if r := reach[fnByName(t, g, name)]; r != nil {
+		if r := reach[fnByName(t, m, pkg, name)]; r != nil {
 			t.Errorf("%s unexpectedly reaches c: %+v", name, r)
 		}
 	}

@@ -75,18 +75,17 @@ func (a ChanOwn) Check(p *Package, m *Module) []Finding {
 		}
 	}
 
-	out = append(out, a.escapes(p, facts)...)
+	out = append(out, a.escapes(p, m, facts)...)
 	sortFindings(out)
 	return out
 }
 
 // escapes reports functions that close a locally declared channel yet
 // return it with send capability intact (rule 3).
-func (a ChanOwn) escapes(p *Package, facts *chanFacts) []Finding {
-	g := p.CallGraph()
+func (a ChanOwn) escapes(p *Package, m *Module, facts *chanFacts) []Finding {
 	var out []Finding
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
+	for _, fn := range m.Funcs(p) {
+		fd := m.Decl(fn)
 		sig := fn.Type().(*types.Signature)
 		if sig.Results().Len() == 0 {
 			continue

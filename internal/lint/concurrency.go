@@ -173,29 +173,46 @@ func (m *Module) depClosure(p *Package) []*Package {
 }
 
 // ---------------------------------------------------------------------
-// Goroutine termination facts (goleak).
+// Blocking operations (locksafe, ctxflow's Blocks, goleak).
 
-// collectLeakOps walks one frame and returns its earliest leak risk —
-// an operation that can block forever or loop without bound — and its
-// earliest termination evidence: a ctx.Done()/module-closed-channel
-// receive, a ctx.Err() poll, or a sync.WaitGroup join. A frame whose
-// risk has no evidence anywhere on its exit paths is what goleak
-// reports. closed is the module's closed-channel-object scope for the
-// frame's package (own closes plus every transitive dependency's).
-func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.Node) (risk, evidence *lockedOp) {
-	noteRisk := func(pos token.Pos, desc string) {
-		if risk == nil || pos < risk.pos {
-			risk = &lockedOp{pos: pos, desc: desc}
-		}
-	}
-	noteEvidence := func(pos token.Pos, desc string) {
-		if evidence == nil || pos < evidence.pos {
-			evidence = &lockedOp{pos: pos, desc: desc}
-		}
-	}
-	// classifyRecv grades one channel receive. blocking distinguishes a
-	// bare receive (blocks until satisfied) from a select case (the
-	// select carries the blocking risk itself).
+// lockedOp is one operation forbidden under a lock. observer marks
+// sim.Observer callbacks: forbidden under a lock, but not blocking
+// operations in their own right — the Blocks summaries (which ctxflow
+// consumes) exclude them.
+type lockedOp struct {
+	pos      token.Pos
+	desc     string
+	observer bool
+}
+
+// blockingOps is one frame's blocking-operation facts.
+type blockingOps struct {
+	// unsafe lists, in source order, every operation that must not
+	// happen under a lock (locksafe).
+	unsafe []lockedOp
+	// risk is the earliest operation that can block forever or loop
+	// without bound; evidence the earliest goroutine-termination
+	// evidence — a ctx.Done()/module-closed-channel receive, a ctx.Err()
+	// poll, or a sync.WaitGroup join (goleak).
+	risk, evidence *Reach
+}
+
+// classifyBlocking walks one frame and classifies its channel
+// operations, selects, loops, waits, sleeps and observer callbacks for
+// both lock safety and goroutine termination. closed is the module's
+// closed-channel-object scope for the frame's package (own closes plus
+// every transitive dependency's). A select with a default case is
+// exempt from the lock rules — every communication inside it is
+// non-blocking by construction — and a select without one subsumes the
+// lock-unsafe operations of its clauses; either way goleak still walks
+// the clause bodies and takes its cases' receives as evidence.
+func classifyBlocking(p *Package, closed map[types.Object][]chanSite, frame ast.Node) blockingOps {
+	var ops blockingOps
+	noteRisk := func(pos token.Pos, desc string) { mergeReach(&ops.risk, Reach{Desc: desc, Pos: pos}) }
+	noteEvidence := func(pos token.Pos, desc string) { mergeReach(&ops.evidence, Reach{Desc: desc, Pos: pos}) }
+	// classifyRecv grades one channel receive for goleak. blocking
+	// distinguishes a bare receive (blocks until satisfied) from a
+	// select case (the select carries the blocking risk itself).
 	classifyRecv := func(operand ast.Expr, pos token.Pos, blocking bool) {
 		operand = ast.Unparen(operand)
 		if call, ok := operand.(*ast.CallExpr); ok {
@@ -211,14 +228,9 @@ func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.No
 			}
 		}
 		if sel, ok := operand.(*ast.SelectorExpr); ok && sel.Sel.Name == "C" {
-			if t := p.TypeOf(sel.X); t != nil {
-				if ptr, ok := t.(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil &&
-					named.Obj().Pkg().Path() == "time" {
-					return // Timer/Ticker channel: fires on its own
-				}
+			if named := namedOf(p.TypeOf(sel.X)); named != nil && named.Obj().Pkg() != nil &&
+				named.Obj().Pkg().Path() == "time" {
+				return // Timer/Ticker channel: fires on its own
 			}
 		}
 		if obj, name := chanObjOf(p, operand); obj != nil && len(closed[obj]) > 0 {
@@ -229,8 +241,15 @@ func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.No
 			noteRisk(pos, "receives on a channel with no close in scope")
 		}
 	}
-	var scan func(root ast.Node)
-	scan = func(root ast.Node) {
+	// walk scans root; underSelect mutes the lock rules inside the
+	// clauses of a select without default.
+	var walk func(root ast.Node, underSelect bool)
+	walk = func(root ast.Node, underSelect bool) {
+		unsafe := func(pos token.Pos, desc string, observer bool) {
+			if !underSelect {
+				ops.unsafe = append(ops.unsafe, lockedOp{pos: pos, desc: desc, observer: observer})
+			}
+		}
 		inspectFrame(root, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectStmt:
@@ -241,6 +260,7 @@ func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.No
 					}
 				}
 				if !hasDefault {
+					unsafe(n.Select, "selects without a default case (may block)", false)
 					noteRisk(n.Select, "selects with no default case")
 				}
 				for _, c := range n.Body.List {
@@ -258,19 +278,22 @@ func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.No
 						}
 					}
 					for _, stmt := range cc.Body {
-						scan(stmt)
+						walk(stmt, underSelect || !hasDefault)
 					}
 				}
 				return false
 			case *ast.SendStmt:
+				unsafe(n.Arrow, "sends on a channel", false)
 				noteRisk(n.Arrow, "sends on a channel")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
+					unsafe(n.OpPos, "receives from a channel", false)
 					classifyRecv(n.X, n.OpPos, true)
 				}
 			case *ast.RangeStmt:
 				if t := p.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Chan); ok {
+						unsafe(n.Range, "ranges over a channel (blocks between elements)", false)
 						if obj, name := chanObjOf(p, n.X); obj != nil && len(closed[obj]) > 0 {
 							noteEvidence(n.Range, "ranges over "+name+", which this module closes")
 						} else {
@@ -283,46 +306,36 @@ func collectLeakOps(p *Package, closed map[types.Object][]chanSite, frame ast.No
 					noteRisk(n.For, "loops without a bound (for {})")
 				}
 			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					fn := methodObjOf(p, sel)
-					if isSyncMethod(fn, "Wait") {
-						switch recvTypeName(fn) {
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				fn := methodObjOf(p, sel)
+				switch {
+				case isObserverCall(p, sel):
+					unsafe(n.Pos(), "invokes sim.Observer."+sel.Sel.Name, true)
+				case isSyncMethod(fn, "Wait"):
+					unsafe(n.Pos(), "waits on "+exprString(sel.X), false)
+					if named := recvNamed(fn); named != nil {
+						switch named.Obj().Name() {
 						case "WaitGroup":
 							noteEvidence(n.Pos(), "joins a sync.WaitGroup")
 						case "Cond":
 							noteRisk(n.Pos(), "waits on a sync.Cond")
 						}
 					}
-					if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" && fn.Name() == "Err" {
-						noteEvidence(n.Pos(), "polls ctx.Err()")
-					}
+				case pkgNameOf(p, sel.X) == "time" && sel.Sel.Name == "Sleep":
+					unsafe(n.Pos(), "sleeps", false)
+				case fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" && fn.Name() == "Err":
+					noteEvidence(n.Pos(), "polls ctx.Err()")
 				}
 			}
 			return true
 		})
 	}
-	scan(frame)
-	return risk, evidence
-}
-
-// recvTypeName returns the name of a method's receiver named type
-// (through one pointer), or "".
-func recvTypeName(fn *types.Func) string {
-	if fn == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
+	walk(frame, false)
+	sort.Slice(ops.unsafe, func(i, j int) bool { return ops.unsafe[i].pos < ops.unsafe[j].pos })
+	return ops
 }
 
 // ---------------------------------------------------------------------
@@ -362,16 +375,8 @@ func lockKeyOf(p *Package, operand ast.Expr) (key, disp string) {
 		if v == nil || v.Pkg() == nil || !v.IsField() {
 			return "", ""
 		}
-		t := p.TypeOf(e.X)
-		for {
-			ptr, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
+		named := namedOf(p.TypeOf(e.X))
+		if named == nil {
 			return "", ""
 		}
 		owner := named.Obj()
@@ -385,74 +390,29 @@ func lockKeyOf(p *Package, operand ast.Expr) (key, disp string) {
 	return "", ""
 }
 
-// lockAcq is one named-mutex acquisition site.
-type lockAcq struct {
-	key, disp string
+// lockCall is one Lock/RLock/Unlock/RUnlock call of a frame, carrying
+// both identities the analyzers key a mutex by.
+type lockCall struct {
 	pos       token.Pos
+	mu        string // the receiver as written, e.g. "w.mu"
+	key, disp string // lockKeyOf's type-level key and display name; "" when unnamed
+	lock      bool   // Lock or RLock; false for an unlock
+	deferred  bool   // a deferred unlock
 }
 
-// lockAcquisitions lists the named-mutex Lock/RLock sites of one
-// frame, in source order. RLock counts: a read lock mixed into a cycle
-// with writers still deadlocks.
-func lockAcquisitions(p *Package, frame ast.Node) []lockAcq {
-	var out []lockAcq
-	inspectFrame(frame, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if !isSyncMethod(methodObjOf(p, sel), "Lock", "RLock") {
-			return true
-		}
-		if key, disp := lockKeyOf(p, sel.X); key != "" {
-			out = append(out, lockAcq{key: key, disp: disp, pos: call.Pos()})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
-	return out
-}
-
-// keyRegion is one held span of a named mutex within a frame.
-type keyRegion struct {
-	key, disp  string
-	start, end token.Pos
-}
-
-type keyRegions []keyRegion
-
-// covering returns every region strictly containing pos — all the
-// named locks held there.
-func (rs keyRegions) covering(pos token.Pos) []keyRegion {
-	var out []keyRegion
-	for _, r := range rs {
-		if pos > r.start && pos < r.end {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// lockKeyRegions computes the held spans of named mutexes in one
-// frame, with the same source-position semantics as lockedRegions
-// (locksafe.go): lock to matching unlock in source order, end-of-frame
-// for deferred or missing unlocks.
-func lockKeyRegions(p *Package, frame ast.Node) keyRegions {
-	type event struct {
-		pos       token.Pos
-		key, disp string
-		lock      bool
-		deferred  bool
-	}
-	var events []event
-	deferredCalls := make(map[*ast.CallExpr]bool)
+// frameLocks is the one lock scan: it lists one frame's lock and unlock
+// calls in source order. methodObjOf sees through embedding, so
+// `s.Lock()` on a struct embedding sync.Mutex counts; RLock counts as a
+// lock (a read lock mixed into a cycle with writers still deadlocks).
+func frameLocks(p *Package, frame ast.Node) []lockCall {
+	var out []lockCall
+	// Pre-order guarantees a DeferStmt is seen before its CallExpr
+	// child, so the deferred set is populated by the time the call is
+	// visited as a plain node.
+	deferred := make(map[*ast.CallExpr]bool)
 	inspectFrame(frame, func(n ast.Node) bool {
 		if ds, ok := n.(*ast.DeferStmt); ok {
-			deferredCalls[ds.Call] = true
+			deferred[ds.Call] = true
 			return true
 		}
 		call, ok := n.(*ast.CallExpr)
@@ -464,52 +424,70 @@ func lockKeyRegions(p *Package, frame ast.Node) keyRegions {
 			return true
 		}
 		fn := methodObjOf(p, sel)
-		var lock bool
-		switch {
-		case isSyncMethod(fn, "Lock", "RLock"):
-			lock = true
-		case isSyncMethod(fn, "Unlock", "RUnlock"):
-		default:
+		lock := isSyncMethod(fn, "Lock", "RLock")
+		if !lock && !isSyncMethod(fn, "Unlock", "RUnlock") {
 			return true
 		}
 		key, disp := lockKeyOf(p, sel.X)
-		if key == "" {
-			return true
-		}
-		events = append(events, event{
-			pos: call.Pos(), key: key, disp: disp, lock: lock, deferred: deferredCalls[call],
+		out = append(out, lockCall{
+			pos: call.Pos(), mu: exprString(sel.X), key: key, disp: disp,
+			lock: lock, deferred: !lock && deferred[call],
 		})
 		return true
 	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
+	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return out
+}
 
-	var rs keyRegions
-	open := map[string]event{}
-	for _, e := range events {
+// lockRegion is one held span of a mutex within a frame, named by the
+// lock call that opened it.
+type lockRegion struct {
+	lockCall
+	end token.Pos
+}
+
+// lockRegions turns a frame's lock calls into held spans, in start
+// order: from each lock to the next non-deferred unlock of the same
+// mutex in source order (an early-return unlock inside a branch ends
+// the region there), and to end — the end of the frame — when the
+// unlock is deferred or missing. id names the mutex a call acts on:
+// the rendered receiver (locksafe) or the type-level key (lockorder);
+// calls with an empty id are skipped.
+func lockRegions(calls []lockCall, end token.Pos, id func(lockCall) string) []lockRegion {
+	var rs []lockRegion
+	open := map[string]lockCall{}
+	for _, c := range calls {
+		k := id(c)
+		start, held := open[k]
 		switch {
-		case e.lock:
-			if _, held := open[e.key]; !held {
-				open[e.key] = e
+		case k == "" || c.deferred:
+			// Unnamed, or a deferred unlock: held to end-of-frame.
+		case c.lock:
+			if !held {
+				open[k] = c
 			}
-		case e.deferred:
-			// Deferred unlock: held to end-of-frame; leave the region open.
-		default:
-			if start, held := open[e.key]; held {
-				rs = append(rs, keyRegion{key: e.key, disp: e.disp, start: start.pos, end: e.pos})
-				delete(open, e.key)
-			}
+		case held:
+			rs = append(rs, lockRegion{lockCall: start, end: c.pos})
+			delete(open, k)
 		}
 	}
 	for _, start := range open {
-		rs = append(rs, keyRegion{key: start.key, disp: start.disp, start: start.pos, end: frame.End()})
+		rs = append(rs, lockRegion{lockCall: start, end: end})
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].start != rs[j].start {
-			return rs[i].start < rs[j].start
-		}
-		return rs[i].key < rs[j].key
-	})
+	sort.Slice(rs, func(i, j int) bool { return rs[i].pos < rs[j].pos })
 	return rs
+}
+
+// covering returns every region strictly containing pos — all the
+// locks held there — in start order.
+func covering(rs []lockRegion, pos token.Pos) []lockRegion {
+	var out []lockRegion
+	for _, r := range rs {
+		if pos > r.pos && pos < r.end {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // lockEdge is one "acquires `to` while holding `from`" site.
@@ -529,17 +507,18 @@ type lockEdge struct {
 // (re-acquiring the same named class, e.g. hand-over-hand over two
 // instances) are skipped: instance order is not a type-level class.
 func collectLockEdges(p *Package, m *Module, dirs *directiveSet) []lockEdge {
-	g := p.CallGraph()
 	var out []lockEdge
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
+	byKey := func(c lockCall) string { return c.key }
+	for _, fn := range m.Funcs(p) {
+		fd := m.Decl(fn)
 		for i, frame := range framesOf(fd) {
-			regions := lockKeyRegions(p, frame)
+			calls := frameLocks(p, frame)
+			regions := lockRegions(calls, frame.End(), byKey)
 			if len(regions) == 0 {
 				continue
 			}
 			label := frameLabel(fd, i)
-			add := func(from keyRegion, to, toDisp string, pos token.Pos, via string) {
+			add := func(from lockRegion, to, toDisp string, pos token.Pos, via string) {
 				if from.key == to {
 					return
 				}
@@ -547,31 +526,28 @@ func collectLockEdges(p *Package, m *Module, dirs *directiveSet) []lockEdge {
 					from: from.key, fromDisp: from.disp,
 					to: to, toDisp: toDisp,
 					pos: pos, frame: label, pkgName: p.Pkg.Name(), via: via,
-					allowed: dirs != nil && dirs.covers(p, pos, "lockorder"),
+					allowed: dirs.covers(p, pos, "lockorder"),
 				})
 			}
-			for _, acq := range lockAcquisitions(p, frame) {
-				for _, r := range regions.covering(acq.pos) {
-					add(r, acq.key, acq.disp, acq.pos, "")
+			for _, c := range calls {
+				if !c.lock || c.key == "" {
+					continue
+				}
+				for _, r := range covering(regions, c.pos) {
+					add(r, c.key, c.disp, c.pos, "")
 				}
 			}
 			for _, e := range staticCalls(p, frame, m.declares) {
-				covering := regions.covering(e.Pos)
-				if len(covering) == 0 {
+				held := covering(regions, e.Pos)
+				if len(held) == 0 {
 					continue
 				}
-				s := m.Summary(e.Callee)
-				if s == nil || len(s.Acquires) == 0 {
-					continue
-				}
-				for _, k := range sortedReachKeys(s.Acquires) {
-					r := s.Acquires[k]
-					via := crossName(p, e.Callee)
-					if c := r.Chain(); c != "" {
-						via += " → " + c
-					}
-					for _, reg := range covering {
-						add(reg, k, r.Desc, e.Pos, via)
+				// Map order is harmless: the sort below orders edges
+				// totally (one edge per site, held key and acquired key).
+				for k, r := range m.Summary(e.Callee).Acquires {
+					w := r.through(p, e.Callee, e.Pos)
+					for _, r := range held {
+						add(r, k, w.Desc, e.Pos, w.Chain())
 					}
 				}
 			}
@@ -586,16 +562,5 @@ func collectLockEdges(p *Package, m *Module, dirs *directiveSet) []lockEdge {
 		}
 		return out[i].to < out[j].to
 	})
-	return out
-}
-
-// sortedReachKeys returns mp's keys sorted, for deterministic
-// iteration over an Acquires map.
-func sortedReachKeys(mp map[string]*Reach) []string {
-	out := make([]string, 0, len(mp))
-	for k := range mp {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -58,13 +58,12 @@ func (a CtxFlow) Check(p *Package, m *Module) []Finding {
 	}
 
 	var out []Finding
-	g := p.CallGraph()
-	for _, fn := range g.Funcs() {
+	for _, fn := range m.Funcs(p) {
 		s := m.Summary(fn)
 		if s == nil || s.CtxParam < 0 {
 			continue // no ctx received: nothing to thread
 		}
-		out = append(out, a.checkFunc(p, m, fn.Name(), g.Decl(fn))...)
+		out = append(out, a.checkFunc(p, m, fn.Name(), m.Decl(fn))...)
 	}
 	sortFindings(out)
 	return out

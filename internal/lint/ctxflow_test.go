@@ -123,7 +123,7 @@ func fireAndForget(ctx context.Context, ch chan int) int {
 		{"luxvis/internal/util", "util_cf_fix.go", src},
 	}
 	pkgs := buildModule(t, specs)
-	fs := fileFindings(lint.RunConfig(pkgs, []lint.Analyzer{lint.CtxFlow{}}, lint.Config{}), "util_cf_fix.go")
+	fs := fileFindings(lint.Run(pkgs, []lint.Analyzer{lint.CtxFlow{}}), "util_cf_fix.go")
 	if len(fs) != 0 {
 		t.Errorf("findings = %v; want none outside scope", fs)
 	}

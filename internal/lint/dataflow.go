@@ -145,23 +145,3 @@ func (st *taintState) tainted(e ast.Expr) bool {
 	}
 	return false
 }
-
-// taintedPos returns the position where the object behind e first
-// became tainted, or token.NoPos when e is not a tainted identifier.
-func (st *taintState) taintedPos(e ast.Expr) token.Pos {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return token.NoPos
-	}
-	obj := st.spec.p.Info.Uses[id]
-	if obj == nil {
-		obj = st.spec.p.Info.Defs[id]
-	}
-	if obj == nil {
-		return token.NoPos
-	}
-	if pos, ok := st.objs[obj]; ok {
-		return pos
-	}
-	return token.NoPos
-}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -67,59 +68,90 @@ func (a DetSource) Check(p *Package, m *Module) []Finding {
 
 	// Direct sources, everywhere in the package.
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				switch pkgNameOf(p, sel.X) {
-				case "time":
-					if wallClockFuncs[sel.Sel.Name] {
-						out = append(out, finding(p, a.Name(), n.Pos(), Error,
-							"time.%s reads the wall clock; runs must be deterministic per seed for replay/audit — derive timing from event counts",
-							sel.Sel.Name))
-					}
-				case "math/rand", "math/rand/v2":
-					if !seededRandFuncs[sel.Sel.Name] {
-						out = append(out, finding(p, a.Name(), n.Pos(), Error,
-							"rand.%s draws from the global source; thread the run's seeded *rand.Rand instead",
-							sel.Sel.Name))
-					}
-				}
-			case *ast.RangeStmt:
-				if t := p.TypeOf(n.X); t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok {
-						out = append(out, finding(p, a.Name(), n.Range, Error,
-							"map iteration order is randomized per run; iterate sorted keys (or an index-keyed slice) so replays are deterministic"))
-					}
-				}
+		for _, op := range nondetOps(p, f) {
+			var msg string
+			switch op.pkg {
+			case "time":
+				msg = "time." + op.fn + " reads the wall clock; runs must be deterministic per seed for replay/audit — derive timing from event counts"
+			case "rand":
+				msg = "rand." + op.fn + " draws from the global source; thread the run's seeded *rand.Rand instead"
+			default:
+				msg = "map iteration order is randomized per run; iterate sorted keys (or an index-keyed slice) so replays are deterministic"
 			}
-			return true
-		})
+			out = append(out, finding(p, a.Name(), op.pos, Error, "%s", msg))
+		}
 	}
 
 	// Cross-package taint: a call into another module package whose
 	// summary reaches a determinism source. Intra-package calls are not
 	// re-reported — the direct source already carries the finding in
 	// this same package.
-	g := p.CallGraph()
-	for _, fn := range g.Funcs() {
-		for _, e := range staticCalls(p, g.Decl(fn).Body, m.crossPackage(p)) {
+	for _, fn := range m.Funcs(p) {
+		for _, e := range m.Callees(fn) {
 			s := m.Summary(e.Callee)
-			if s == nil || s.Nondet == nil {
+			if m.Owner(e.Callee) == p || s.Nondet == nil {
 				continue
 			}
-			chain := crossName(p, e.Callee)
-			if v := s.Nondet.Chain(); v != "" {
-				chain += " → " + v
-			}
+			w := s.Nondet.through(p, e.Callee, e.Pos)
 			out = append(out, finding(p, a.Name(), e.Pos, Error,
 				"calling %s taints determinism: %s %s (call chain %s); keep the engine/verify/exp packages replayable per seed",
-				crossName(p, e.Callee), lastName(chain), s.Nondet.Desc, chain))
+				w.Via[0], w.last(), w.Desc, w.Chain()))
 		}
 	}
 	sortFindings(out)
+	return out
+}
+
+// nondetOp is one determinism source: a wall-clock read, a draw from
+// the global math/rand source, or a map iteration.
+type nondetOp struct {
+	pos token.Pos
+	pkg string // "time" or "rand"; "" for a map iteration
+	fn  string // the time or rand function called
+}
+
+// desc describes op for witness chains.
+func (op nondetOp) desc() string {
+	switch op.pkg {
+	case "time":
+		return "reads the wall clock (time." + op.fn + ")"
+	case "rand":
+		return "draws from the global math/rand source (rand." + op.fn + ")"
+	}
+	return "iterates a map (randomized order)"
+}
+
+// nondetOps lists the determinism sources under root in source order.
+// The whole subtree is inspected — closures and goroutine bodies
+// execute as a consequence of calling the function, so their taint is
+// the caller's taint.
+func nondetOps(p *Package, root ast.Node) []nondetOp {
+	var out []nondetOp
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch pkgNameOf(p, sel.X) {
+			case "time":
+				if wallClockFuncs[sel.Sel.Name] {
+					out = append(out, nondetOp{pos: n.Pos(), pkg: "time", fn: sel.Sel.Name})
+				}
+			case "math/rand", "math/rand/v2":
+				if !seededRandFuncs[sel.Sel.Name] {
+					out = append(out, nondetOp{pos: n.Pos(), pkg: "rand", fn: sel.Sel.Name})
+				}
+			}
+		case *ast.RangeStmt:
+			if t := p.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					out = append(out, nondetOp{pos: n.Range})
+				}
+			}
+		}
+		return true
+	})
 	return out
 }

@@ -101,7 +101,7 @@ func scale(n int) int {
 		{"luxvis/internal/sim", "sim_ds_fix.go", simSrc},
 	}
 	pkgs := buildModule(t, specs)
-	findings := fileFindings(lint.RunConfig(pkgs, []lint.Analyzer{lint.DetSource{}}, lint.Config{}), "sim_ds_fix.go")
+	findings := fileFindings(lint.Run(pkgs, []lint.Analyzer{lint.DetSource{}}), "sim_ds_fix.go")
 	assertWants(t, simSrc, findings)
 	for _, f := range findings {
 		if !strings.Contains(f.Message, "util.Delay") || !strings.Contains(f.Message, "jitter") {
@@ -142,7 +142,7 @@ func use(m map[int]string) []int {
 		{"luxvis/internal/sim", "sim_ds_allow_fix.go", simSrc},
 	}
 	pkgs := buildModule(t, specs)
-	fs := lint.RunConfig(pkgs, []lint.Analyzer{lint.DetSource{}}, lint.Config{})
+	fs := lint.Run(pkgs, []lint.Analyzer{lint.DetSource{}})
 	if len(fs) != 0 {
 		t.Errorf("findings = %v; want none (allow on the source must stop the taint)", fs)
 	}

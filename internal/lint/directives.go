@@ -102,8 +102,12 @@ func (d *directiveSet) allows(f Finding) bool {
 // covers reports whether a directive for analyzer (or "all") covers the
 // line of pos, without marking anything used. The module-graph summary
 // pass uses it to stop taint propagation at annotated operations;
-// finding suppression goes through allows, which tracks usage.
+// finding suppression goes through allows, which tracks usage. A nil
+// set covers nothing.
 func (d *directiveSet) covers(p *Package, pos token.Pos, analyzer string) bool {
+	if d == nil {
+		return false
+	}
 	position := p.Fset.Position(pos)
 	m := d.byLine[position.Filename]
 	if m == nil {

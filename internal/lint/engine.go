@@ -6,33 +6,6 @@ import (
 	"sync"
 )
 
-// Config tunes the engine. The zero value is the default: one worker
-// per CPU.
-type Config struct {
-	// Workers caps concurrent package analysis; <= 0 means GOMAXPROCS.
-	// Findings are byte-for-byte identical at any worker count — the
-	// canonical sort (see less) is the only ordering authority.
-	Workers int
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// RunConfig applies the analyzers to every package under cfg and
-// returns all findings in canonical order.
-func RunConfig(pkgs []*Package, analyzers []Analyzer, cfg Config) []Finding {
-	var out []Finding
-	for _, r := range lintPackages(pkgs, analyzers, cfg) {
-		out = append(out, r...)
-	}
-	sortFindings(out)
-	return out
-}
-
 // lintPackages builds the module view over pkgs and lints every
 // package, returning each package's findings at its index. The
 // summaries are computed once, up front and sequentially (they must
@@ -40,10 +13,10 @@ func RunConfig(pkgs []*Package, analyzers []Analyzer, cfg Config) []Finding {
 // read them concurrently without coordination. Packages are
 // distributed over workers by index striding; each worker writes only
 // its own result slots, so the engine needs no locks of its own.
-func lintPackages(pkgs []*Package, analyzers []Analyzer, cfg Config) [][]Finding {
+func lintPackages(pkgs []*Package, analyzers []Analyzer) [][]Finding {
 	m := NewModule(pkgs)
 	results := make([][]Finding, len(pkgs))
-	runParallel(len(pkgs), cfg.workers(), func(i int) {
+	runParallel(len(pkgs), runtime.GOMAXPROCS(0), func(i int) {
 		results[i] = lintPackage(pkgs[i], m, analyzers)
 	})
 	return results
@@ -117,7 +90,7 @@ func LintModule(root string, analyzers []Analyzer) ([]PackageFindings, error) {
 		return nil, err
 	}
 	out := make([]PackageFindings, len(pkgs))
-	for i, fs := range lintPackages(pkgs, analyzers, Config{}) {
+	for i, fs := range lintPackages(pkgs, analyzers) {
 		out[i] = PackageFindings{Path: pkgs[i].Path, Dir: pkgs[i].Dir, Findings: fs}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })

@@ -41,16 +41,20 @@ func render(fs []lint.Finding) string {
 }
 
 // TestParallelDeterminism is the satellite guarantee: the engine's
-// output is byte-for-byte identical at any worker count. Fixture
-// packages carry real findings so the comparison is not vacuous.
+// output is byte-for-byte identical at any worker count (one per
+// GOMAXPROCS). Fixture packages carry real findings so the comparison
+// is not vacuous.
 func TestParallelDeterminism(t *testing.T) {
 	pkgs := fixturePackages(t)
-	seq := render(lint.RunConfig(pkgs, lint.All(), lint.Config{Workers: 1}))
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	seq := render(lint.Run(pkgs, lint.All()))
 	if !strings.Contains(seq, "locksafe") || !strings.Contains(seq, "errsink") {
 		t.Fatalf("sequential run lost expected findings:\n%s", seq)
 	}
+	runtime.GOMAXPROCS(2 * procs)
 	for try := 0; try < 5; try++ {
-		par := render(lint.RunConfig(pkgs, lint.All(), lint.Config{Workers: 2 * runtime.GOMAXPROCS(0)}))
+		par := render(lint.Run(pkgs, lint.All()))
 		if par != seq {
 			t.Fatalf("parallel output differs from sequential (try %d):\n--- sequential ---\n%s--- parallel ---\n%s", try, seq, par)
 		}

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // GoLeak proves, at build time, the goroutine-lifecycle half of the
 // ASYNC runtime's contract: every `go` statement in the
@@ -45,17 +42,15 @@ func (a GoLeak) Check(p *Package, m *Module) []Finding {
 	if !p.PathHasSuffix(concScope...) {
 		return nil
 	}
-	closed := m.closedScope[p]
-	g := p.CallGraph()
 	var out []Finding
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
+	for _, fn := range m.Funcs(p) {
+		fd := m.Decl(fn)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			risk, ev := a.spawnFacts(p, m, closed, gs)
+			risk, ev := a.spawnFacts(p, m, gs)
 			if risk != nil && ev == nil {
 				chain := ""
 				if c := risk.Chain(); c != "" {
@@ -76,56 +71,18 @@ func (a GoLeak) Check(p *Package, m *Module) []Finding {
 // evidence: for a `go func(){...}` literal, its direct ops plus the
 // summaries of every module function it calls; for a named `go f(...)`,
 // f's summary. Dynamic spawns return no facts (skipped).
-func (a GoLeak) spawnFacts(p *Package, m *Module, closed map[types.Object][]chanSite, gs *ast.GoStmt) (risk, ev *Reach) {
+func (a GoLeak) spawnFacts(p *Package, m *Module, gs *ast.GoStmt) (risk, ev *Reach) {
+	var d FuncSummary
+	var calls []CallEdge
 	if fl, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		r, e := collectLeakOps(p, closed, fl.Body)
-		if r != nil {
-			risk = &Reach{Desc: r.desc, Pos: r.pos}
-		}
-		if e != nil {
-			ev = &Reach{Desc: e.desc, Pos: e.pos}
-		}
-		for _, edge := range staticCalls(p, fl.Body, m.declares) {
-			s := m.Summary(edge.Callee)
-			if s == nil {
-				continue
-			}
-			name := crossName(p, edge.Callee)
-			if s.LeakRisk != nil && (risk == nil || edge.Pos < risk.Pos) {
-				risk = &Reach{
-					Desc: s.LeakRisk.Desc, Pos: edge.Pos,
-					Via: append([]string{name}, s.LeakRisk.Via...),
-				}
-			}
-			if s.TermEvidence != nil && ev == nil {
-				ev = &Reach{
-					Desc: s.TermEvidence.Desc, Pos: edge.Pos,
-					Via: append([]string{name}, s.TermEvidence.Via...),
-				}
-			}
-		}
-		return risk, ev
+		ops := classifyBlocking(p, m.closedScope[p], fl.Body)
+		d.LeakRisk, d.TermEvidence = ops.risk, ops.evidence
+		calls = staticCalls(p, fl.Body, m.declares)
+	} else if callee := p.StaticCallee(gs.Call); m.declares(callee) {
+		calls = []CallEdge{{Callee: callee, Pos: gs.Pos()}}
 	}
-	callee := p.StaticCallee(gs.Call)
-	if callee == nil {
-		return nil, nil
+	for _, e := range calls {
+		d.foldCall(p, e, m.Summary(e.Callee), nil)
 	}
-	s := m.Summary(callee)
-	if s == nil {
-		return nil, nil
-	}
-	name := crossName(p, callee)
-	if s.LeakRisk != nil {
-		risk = &Reach{
-			Desc: s.LeakRisk.Desc, Pos: gs.Pos(),
-			Via: append([]string{name}, s.LeakRisk.Via...),
-		}
-	}
-	if s.TermEvidence != nil {
-		ev = &Reach{
-			Desc: s.TermEvidence.Desc, Pos: gs.Pos(),
-			Via: append([]string{name}, s.TermEvidence.Via...),
-		}
-	}
-	return risk, ev
+	return d.LeakRisk, d.TermEvidence
 }

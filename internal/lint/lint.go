@@ -16,14 +16,15 @@
 // The engine reasons across function and package boundaries. LoadModule
 // type-checks every module package from source into one shared universe,
 // reading the standard library from the gc export data the go command
-// keeps in its build cache (load.go). Module (module.go) then computes a
-// FuncSummary for every declared function — lock safety, blocking,
-// determinism taint, arena returns, JSON-sink parameters, goroutine
-// termination and lock acquisitions — bottom-up in dependency order,
-// closing each package's facts over its intra-package call graph
-// (callgraph.go); a lightweight per-function dataflow pass (dataflow.go)
-// tracks values of interest through assignments and slicing. Every
-// analyzer receives the package and the module view. Packages are
+// keeps in its build cache (load.go). Module (module.go) owns the one
+// call graph (callgraph.go: every declared function and its static
+// calls to other module functions) and computes a FuncSummary for every
+// declared function — lock safety, blocking, determinism taint, arena
+// returns, JSON-sink parameters, goroutine termination and lock
+// acquisitions — bottom-up in dependency order, closing each package's
+// facts over its own call chains; a lightweight per-function dataflow
+// pass (dataflow.go) tracks values of interest through assignments and
+// slicing. Every analyzer receives the package and the module view. Packages are
 // analyzed in parallel with deterministic finding order (engine.go), and
 // findings render as text, GitHub Actions annotations, or SARIF 2.1.0
 // (sarif.go).
@@ -48,7 +49,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Severity grades a finding. Error findings fail the build gate;
@@ -96,9 +96,6 @@ type Package struct {
 	Pkg *types.Package
 	// Info carries the type-checker's expression/object tables.
 	Info *types.Info
-
-	cgOnce sync.Once
-	cg     *CallGraph
 }
 
 // TypeOf returns the type of e, or nil when unknown.
@@ -189,10 +186,15 @@ func ByName(names ...string) ([]Analyzer, error) {
 // Run applies the analyzers to every package, filters findings through
 // //lint:allow directives (auditing for stale ones), and returns the
 // survivors in canonical order. Malformed directives are themselves
-// reported as error findings. Packages are analyzed in parallel; see
-// RunConfig to control the worker count.
+// reported as error findings. Packages are analyzed in parallel, one
+// worker per GOMAXPROCS; the output is byte-identical at any count.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	return RunConfig(pkgs, analyzers, Config{})
+	var out []Finding
+	for _, r := range lintPackages(pkgs, analyzers) {
+		out = append(out, r...)
+	}
+	sortFindings(out)
+	return out
 }
 
 // less is the canonical finding order: position (filename, line,
@@ -278,6 +280,19 @@ func methodObjOf(p *Package, sel *ast.SelectorExpr) *types.Func {
 		return fn
 	}
 	return nil
+}
+
+// recvNamed returns the named type of fn's receiver (through a
+// pointer), or nil when fn is not a method.
+func recvNamed(fn *types.Func) *types.Named {
+	if fn == nil {
+		return nil
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	return namedOf(sig.Recv().Type())
 }
 
 // isSyncMethod reports whether the call target is package sync's method

@@ -2,17 +2,18 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Module is the whole-program view the cross-package analyzers run
-// over: every loaded package sharing one type-checked universe, a
-// function->package index spanning package boundaries, and a summary
-// per declared function. Summaries are computed bottom-up in dependency
-// order, so by the time a package is summarized every module-local
-// callee below it already has its facts; the per-package intra
-// call-graph (callgraph.go) then closes the facts over local recursion.
+// over: every loaded package sharing one type-checked universe, the
+// module's call graph (callgraph.go: every declared function and its
+// static calls to other module functions, across package boundaries),
+// and a summary per declared function. Summaries are computed bottom-up
+// in dependency order, so by the time a package is summarized every
+// module-local callee below it already has its facts; Propagate then
+// closes the facts over the package's own call chains and recursion.
 //
 // A summary only ever describes a function's transitive
 // *dependencies*, so a package's findings are a function of its own
@@ -21,8 +22,10 @@ import (
 type Module struct {
 	pkgs   []*Package // dependency order
 	byPath map[string]*Package
-	owner  map[*types.Func]*Package
-	sums   map[*types.Func]*FuncSummary
+	// funcs lists each package's declared functions in declaration
+	// order; fns holds the call graph node of each.
+	funcs map[*Package][]*types.Func
+	fns   map[*types.Func]*funcNode
 
 	// chans holds each package's own channel send/close sites;
 	// closedScope widens a package's view of closes to its transitive
@@ -33,6 +36,16 @@ type Module struct {
 	// lockEdges holds each package's lock-order edges, derived after
 	// its Acquires summaries close. Consumed by lockorder.
 	lockEdges map[*Package][]lockEdge
+}
+
+// funcNode is one declared function (with a body): its package, its
+// syntax, its outer-frame calls to module functions in call-site order
+// (the call graph's edges), and its summary.
+type funcNode struct {
+	pkg   *Package
+	decl  *ast.FuncDecl
+	calls []CallEdge
+	sum   FuncSummary
 }
 
 // FuncSummary is one declared function's exported analysis facts.
@@ -86,8 +99,8 @@ type FuncSummary struct {
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		byPath:      make(map[string]*Package, len(pkgs)),
-		owner:       make(map[*types.Func]*Package),
-		sums:        make(map[*types.Func]*FuncSummary),
+		funcs:       make(map[*Package][]*types.Func, len(pkgs)),
+		fns:         make(map[*types.Func]*funcNode),
 		chans:       make(map[*Package]*chanFacts),
 		closedScope: make(map[*Package]map[types.Object][]chanSite),
 		lockEdges:   make(map[*Package][]lockEdge),
@@ -97,14 +110,28 @@ func NewModule(pkgs []*Package) *Module {
 	}
 	m.pkgs = dependencyOrder(pkgs)
 	for _, p := range m.pkgs {
-		g := p.CallGraph()
-		for _, fn := range g.Funcs() {
-			m.owner[fn] = p
-			m.sums[fn] = &FuncSummary{
-				CtxParam:    ctxParamIndex(fn),
-				ArenaReturn: isArenaRoot(fn),
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				m.funcs[p] = append(m.funcs[p], fn)
+				m.fns[fn] = &funcNode{pkg: p, decl: fd, sum: FuncSummary{
+					CtxParam:    ctxParamIndex(fn),
+					ArenaReturn: isArenaRoot(fn),
+				}}
 			}
 		}
+	}
+	// Edges once every function is indexed: a call may cross into any
+	// module package.
+	for _, n := range m.fns {
+		n.calls = staticCalls(n.pkg, n.decl.Body, m.declares)
 	}
 	// Channel facts before summaries: a summary's closed-channel
 	// evidence consults the package's dependency-closed scope.
@@ -129,20 +156,22 @@ func NewModule(pkgs []*Package) *Module {
 	return m
 }
 
-// Packages returns the module's packages in dependency order.
-func (m *Module) Packages() []*Package { return m.pkgs }
-
 // Summary returns fn's summary, or nil when fn is not declared (with a
 // body) in the module — a standard-library or bodiless function.
 func (m *Module) Summary(fn *types.Func) *FuncSummary {
-	if fn == nil {
-		return nil
+	if n := m.fns[fn]; n != nil {
+		return &n.sum
 	}
-	return m.sums[fn]
+	return nil
 }
 
 // Owner returns the package fn is declared in, or nil.
-func (m *Module) Owner(fn *types.Func) *Package { return m.owner[fn] }
+func (m *Module) Owner(fn *types.Func) *Package {
+	if n := m.fns[fn]; n != nil {
+		return n.pkg
+	}
+	return nil
+}
 
 // dependencyOrder topologically sorts pkgs so that every module-local
 // import precedes its importer. The input order breaks ties, keeping
@@ -173,147 +202,60 @@ func dependencyOrder(pkgs []*Package) []*Package {
 	return out
 }
 
+// reachFacts lists the FuncSummary facts that are one Reach each.
+var reachFacts = []func(*FuncSummary) **Reach{
+	func(s *FuncSummary) **Reach { return &s.LockUnsafe },
+	func(s *FuncSummary) **Reach { return &s.Blocks },
+	func(s *FuncSummary) **Reach { return &s.Nondet },
+	func(s *FuncSummary) **Reach { return &s.LeakRisk },
+	func(s *FuncSummary) **Reach { return &s.TermEvidence },
+}
+
 // summarize computes p's function summaries, assuming every module
 // dependency of p is already summarized.
 func (m *Module) summarize(p *Package) {
-	g := p.CallGraph()
 	dirs, _ := collectDirectives(p)
 
 	// Pass 1: direct facts per function. "Direct" includes calls into
 	// other, already-summarized packages: the callee's summary becomes a
 	// fact at the call site with the callee prepended to the witness
-	// chain. The intra-package Propagate pass then closes everything
-	// over local call chains and recursion.
-	lockDirect := make(map[*types.Func]Reach)
-	blockDirect := make(map[*types.Func]Reach)
-	nondetDirect := make(map[*types.Func]Reach)
-	leakDirect := make(map[*types.Func]Reach)
-	termDirect := make(map[*types.Func]Reach)
-	// Acquisition facts are per mutex key: one direct map (and one
-	// propagation) per named mutex the package touches. acqKeys keeps
-	// first-appearance order for deterministic processing.
-	acqDirect := make(map[string]map[*types.Func]Reach)
-	var acqKeys []string
-	noteAcq := func(key string, fn *types.Func, r Reach) {
-		mm := acqDirect[key]
-		if mm == nil {
-			mm = make(map[*types.Func]Reach)
-			acqDirect[key] = mm
-			acqKeys = append(acqKeys, key)
-		}
-		mergeDirect(mm, fn, r)
-	}
-	closed := m.closedScope[p]
-	for _, fn := range g.Funcs() {
-		body := g.Decl(fn).Body
-
-		// Lock-unsafe and blocking ops: outer frame only — a stored
-		// closure's ops do not run just because the function is called.
-		ops := collectUnsafeOps(p, body)
-		var firstOp, firstBlocking *lockedOp
-		for i := range ops {
-			if firstOp == nil {
-				firstOp = &ops[i]
-			}
-			if firstBlocking == nil && !ops[i].observer {
-				firstBlocking = &ops[i]
+	// chain. Propagate then closes everything over local call chains
+	// and recursion.
+	direct := make(map[*types.Func]*FuncSummary, len(m.funcs[p]))
+	acqKeys := make(map[string]bool)
+	for _, fn := range m.funcs[p] {
+		n := m.fns[fn]
+		d := m.directFacts(p, n.decl.Body, dirs)
+		for _, e := range n.calls {
+			if callee := m.fns[e.Callee]; callee.pkg != p {
+				d.foldCall(p, e, &callee.sum, dirs)
 			}
 		}
-		if firstOp != nil {
-			lockDirect[fn] = Reach{Desc: firstOp.desc, Pos: firstOp.pos}
+		for key := range d.Acquires {
+			acqKeys[key] = true
 		}
-		if firstBlocking != nil {
-			blockDirect[fn] = Reach{Desc: firstBlocking.desc, Pos: firstBlocking.pos}
-		}
-
-		// Determinism taint: whole body (a goroutine launched by the
-		// call still executes its wall-clock read), allow-filtered.
-		if op := firstNondetOp(p, body, dirs); op != nil {
-			nondetDirect[fn] = Reach{Desc: op.desc, Pos: op.pos}
-		}
-
-		// Goroutine-termination facts: outer frame only, like the lock
-		// facts — a stored closure's ops run on another frame's clock.
-		risk, ev := collectLeakOps(p, closed, body)
-		if risk != nil {
-			leakDirect[fn] = Reach{Desc: risk.desc, Pos: risk.pos}
-		}
-		if ev != nil {
-			termDirect[fn] = Reach{Desc: ev.desc, Pos: ev.pos}
-		}
-
-		// Named-mutex acquisitions: outer frame (a spawned goroutine's
-		// acquisition does not nest under the caller's held locks).
-		for _, acq := range lockAcquisitions(p, body) {
-			noteAcq(acq.key, fn, Reach{Desc: acq.disp, Pos: acq.pos})
-		}
-
-		// Cross-package call facts, earliest call site first.
-		for _, e := range staticCalls(p, body, m.crossPackage(p)) {
-			s := m.sums[e.Callee]
-			name := crossName(p, e.Callee)
-			if s.LockUnsafe != nil {
-				mergeDirect(lockDirect, fn, Reach{
-					Desc: s.LockUnsafe.Desc, Pos: e.Pos,
-					Via: append([]string{name}, s.LockUnsafe.Via...),
-				})
-			}
-			if s.Blocks != nil {
-				mergeDirect(blockDirect, fn, Reach{
-					Desc: s.Blocks.Desc, Pos: e.Pos,
-					Via: append([]string{name}, s.Blocks.Via...),
-				})
-			}
-			if s.Nondet != nil && !dirs.covers(p, e.Pos, "detsource") {
-				mergeDirect(nondetDirect, fn, Reach{
-					Desc: s.Nondet.Desc, Pos: e.Pos,
-					Via: append([]string{name}, s.Nondet.Via...),
-				})
-			}
-			if s.LeakRisk != nil {
-				mergeDirect(leakDirect, fn, Reach{
-					Desc: s.LeakRisk.Desc, Pos: e.Pos,
-					Via: append([]string{name}, s.LeakRisk.Via...),
-				})
-			}
-			if s.TermEvidence != nil {
-				mergeDirect(termDirect, fn, Reach{
-					Desc: s.TermEvidence.Desc, Pos: e.Pos,
-					Via: append([]string{name}, s.TermEvidence.Via...),
-				})
-			}
-			for _, key := range sortedReachKeys(s.Acquires) {
-				r := s.Acquires[key]
-				noteAcq(key, fn, Reach{
-					Desc: r.Desc, Pos: e.Pos,
-					Via: append([]string{name}, r.Via...),
-				})
-			}
-		}
+		direct[fn] = d
 	}
 
-	// Pass 2: intra-package transitive closure.
-	lockReach := g.Propagate(lockDirect)
-	blockReach := g.Propagate(blockDirect)
-	nondetReach := g.Propagate(nondetDirect)
-	leakReach := g.Propagate(leakDirect)
-	termReach := g.Propagate(termDirect)
-	for _, fn := range g.Funcs() {
-		s := m.sums[fn]
-		s.LockUnsafe = lockReach[fn]
-		s.Blocks = blockReach[fn]
-		s.Nondet = nondetReach[fn]
-		s.LeakRisk = leakReach[fn]
-		s.TermEvidence = termReach[fn]
-	}
-	for _, key := range acqKeys {
-		reach := g.Propagate(acqDirect[key])
-		for _, fn := range g.Funcs() {
-			r := reach[fn]
-			if r == nil {
-				continue
+	// Pass 2: intra-package transitive closure, one propagation per
+	// fact and one per named mutex.
+	propagate := func(get func(*FuncSummary) *Reach) map[*types.Func]*Reach {
+		facts := make(map[*types.Func]Reach)
+		for fn, d := range direct {
+			if r := get(d); r != nil {
+				facts[fn] = *r
 			}
-			s := m.sums[fn]
+		}
+		return m.Propagate(p, facts)
+	}
+	for _, fact := range reachFacts {
+		for fn, r := range propagate(func(s *FuncSummary) *Reach { return *fact(s) }) {
+			*fact(&m.fns[fn].sum) = r
+		}
+	}
+	for key := range acqKeys {
+		for fn, r := range propagate(func(s *FuncSummary) *Reach { return s.Acquires[key] }) {
+			s := &m.fns[fn].sum
 			if s.Acquires == nil {
 				s.Acquires = make(map[string]*Reach)
 			}
@@ -325,12 +267,9 @@ func (m *Module) summarize(p *Package) {
 	// the dataflow pass can trace back to an arena row?
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range g.Funcs() {
-			if m.sums[fn].ArenaReturn {
-				continue
-			}
-			if m.returnsArena(p, g.Decl(fn)) {
-				m.sums[fn].ArenaReturn = true
+		for _, fn := range m.funcs[p] {
+			if s := &m.fns[fn].sum; !s.ArenaReturn && m.returnsArena(p, m.fns[fn].decl) {
+				s.ArenaReturn = true
 				changed = true
 			}
 		}
@@ -349,27 +288,65 @@ func (m *Module) summarize(p *Package) {
 	m.lockEdges[p] = collectLockEdges(p, m, dirs)
 }
 
-// mergeDirect records r as fn's direct fact if it is the first, or
-// earlier in source order than the current one.
-func mergeDirect(direct map[*types.Func]Reach, fn *types.Func, r Reach) {
-	if cur, ok := direct[fn]; ok && cur.Pos <= r.Pos {
-		return
+// directFacts returns the facts of body's own operations, each the
+// earliest of its kind. Lock-unsafe and blocking operations, leak risk,
+// termination evidence and named-mutex acquisitions come from the outer
+// frame only: a stored closure's or spawned goroutine's operations do
+// not run (or hold locks) just because the function is called.
+// Determinism taint comes from the whole body — a goroutine launched by
+// the call still reads the wall clock — minus the operations a
+// //lint:allow detsource covers.
+func (m *Module) directFacts(p *Package, body *ast.BlockStmt, dirs *directiveSet) *FuncSummary {
+	d := &FuncSummary{}
+	ops := classifyBlocking(p, m.closedScope[p], body)
+	for _, op := range ops.unsafe {
+		mergeReach(&d.LockUnsafe, Reach{Desc: op.desc, Pos: op.pos})
+		if !op.observer {
+			mergeReach(&d.Blocks, Reach{Desc: op.desc, Pos: op.pos})
+		}
 	}
-	direct[fn] = r
+	d.LeakRisk, d.TermEvidence = ops.risk, ops.evidence
+	for _, op := range nondetOps(p, body) {
+		if !dirs.covers(p, op.pos, "detsource") {
+			mergeReach(&d.Nondet, Reach{Desc: op.desc(), Pos: op.pos})
+		}
+	}
+	for _, c := range frameLocks(p, body) {
+		if c.lock && c.key != "" {
+			d.mergeAcquire(c.key, Reach{Desc: c.disp, Pos: c.pos})
+		}
+	}
+	return d
+}
+
+// foldCall merges into d the facts a call to e.Callee, summarized as s,
+// contributes at the call site (see Reach.through and mergeReach). A
+// //lint:allow detsource on the call site stops the Nondet fact there.
+func (d *FuncSummary) foldCall(p *Package, e CallEdge, s *FuncSummary, dirs *directiveSet) {
+	for _, fact := range reachFacts {
+		dst := fact(d)
+		if r := *fact(s); r != nil && !(dst == &d.Nondet && dirs.covers(p, e.Pos, "detsource")) {
+			mergeReach(dst, r.through(p, e.Callee, e.Pos))
+		}
+	}
+	for key, r := range s.Acquires {
+		d.mergeAcquire(key, r.through(p, e.Callee, e.Pos))
+	}
+}
+
+// mergeAcquire is mergeReach for d's acquisition of the mutex key.
+func (d *FuncSummary) mergeAcquire(key string, r Reach) {
+	if d.Acquires == nil {
+		d.Acquires = make(map[string]*Reach)
+	}
+	cur := d.Acquires[key]
+	mergeReach(&cur, r)
+	d.Acquires[key] = cur
 }
 
 // declares reports whether fn is declared (with a body) in one of the
 // module's packages; a staticCalls filter.
-func (m *Module) declares(fn *types.Func) bool { return m.owner[fn] != nil }
-
-// crossPackage returns the staticCalls filter for callees declared in
-// another module package than p.
-func (m *Module) crossPackage(p *Package) func(*types.Func) bool {
-	return func(fn *types.Func) bool {
-		owner := m.owner[fn]
-		return owner != nil && owner != p
-	}
-}
+func (m *Module) declares(fn *types.Func) bool { return m.fns[fn] != nil }
 
 // crossName renders a callee for witness chains: bare within the same
 // package, package-qualified across packages.
@@ -398,27 +375,19 @@ func ctxParamIndex(fn *types.Func) int {
 // isArenaRoot identifies the kernel's arena-returning method by
 // identity: (geom.Snapshot).Row hands out slices into a reusable arena,
 // which is the whole arenaalias contract.
-func isArenaRoot(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+func isArenaRoot(fn *types.Func) bool { return isSnapshotMethod(fn, "Row") }
+
+// isSnapshotMethod reports whether fn is one of the named methods of
+// the kernel's geom.Snapshot.
+func isSnapshotMethod(fn *types.Func, names ...string) bool {
+	named := recvNamed(fn)
+	if named == nil || named.Obj().Name() != "Snapshot" || fn.Pkg() == nil {
 		return false
 	}
-	path := fn.Pkg().Path()
-	if path != "luxvis/internal/geom" && path != "internal/geom" {
+	if path := fn.Pkg().Path(); path != "luxvis/internal/geom" && path != "internal/geom" {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Snapshot" && fn.Name() == "Row"
+	return slices.Contains(names, fn.Name())
 }
 
 // arenaSourceCall reports whether call yields an arena-aliasing slice:
@@ -431,7 +400,7 @@ func (m *Module) arenaSourceCall(p *Package, call *ast.CallExpr) bool {
 	if isArenaRoot(fn) {
 		return true
 	}
-	s := m.sums[fn]
+	s := m.Summary(fn)
 	return s != nil && s.ArenaReturn
 }
 
@@ -464,65 +433,13 @@ func (m *Module) returnsArena(p *Package, fd *ast.FuncDecl) bool {
 	return found
 }
 
-// nondetOp is one determinism-tainting operation.
-type nondetOp struct {
-	pos  token.Pos
-	desc string
-}
-
-// firstNondetOp returns the first determinism-tainting operation in
-// body not covered by a //lint:allow detsource (or all) directive, or
-// nil. The whole body is inspected — closures and goroutine bodies
-// execute as a consequence of calling the function, so their taint is
-// the caller's taint.
-func firstNondetOp(p *Package, body ast.Node, dirs *directiveSet) *nondetOp {
-	var first *nondetOp
-	note := func(pos token.Pos, desc string) {
-		if dirs != nil && dirs.covers(p, pos, "detsource") {
-			return
-		}
-		if first == nil || pos < first.pos {
-			first = &nondetOp{pos: pos, desc: desc}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch pkgNameOf(p, sel.X) {
-			case "time":
-				if wallClockFuncs[sel.Sel.Name] {
-					note(n.Pos(), "reads the wall clock (time."+sel.Sel.Name+")")
-				}
-			case "math/rand", "math/rand/v2":
-				if !seededRandFuncs[sel.Sel.Name] {
-					note(n.Pos(), "draws from the global math/rand source (rand."+sel.Sel.Name+")")
-				}
-			}
-		case *ast.RangeStmt:
-			if t := p.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					note(n.Range, "iterates a map (randomized order)")
-				}
-			}
-		}
-		return true
-	})
-	return first
-}
-
 // computeSinkParams runs wireformat's wrapper-discovery fixpoint for
 // one package, consulting dependency summaries, and stores the result
 // into the package's function summaries.
 func (m *Module) computeSinkParams(p *Package) {
-	g := p.CallGraph()
-
 	paramIndex := make(map[*types.Func]map[types.Object]int)
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
+	for _, fn := range m.funcs[p] {
+		fd := m.fns[fn].decl
 		idx := make(map[types.Object]int)
 		i := 0
 		if fd.Type.Params != nil {
@@ -540,9 +457,8 @@ func (m *Module) computeSinkParams(p *Package) {
 
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range g.Funcs() {
-			fd := g.Decl(fn)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
+		for _, fn := range m.funcs[p] {
+			ast.Inspect(m.fns[fn].decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -563,7 +479,7 @@ func (m *Module) computeSinkParams(p *Package) {
 					if _, ok := obj.Type().Underlying().(*types.Interface); !ok {
 						continue // concrete param: its sink call names the type itself
 					}
-					s := m.sums[fn]
+					s := &m.fns[fn].sum
 					if s.SinkParams == nil {
 						s.SinkParams = make(map[int]bool)
 					}
@@ -597,7 +513,7 @@ func (m *Module) sinkArgIndices(p *Package, call *ast.CallExpr) []int {
 	if callee == nil {
 		return nil
 	}
-	s := m.sums[callee]
+	s := m.Summary(callee)
 	if s == nil || len(s.SinkParams) == 0 {
 		return nil
 	}
@@ -605,11 +521,7 @@ func (m *Module) sinkArgIndices(p *Package, call *ast.CallExpr) []int {
 	for i := range s.SinkParams {
 		out = append(out, i)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -61,7 +61,6 @@ func (a MutexDiscipline) Check(p *Package, _ *Module) []Finding {
 // checkFunc reports guarded-field accesses in one function that has no
 // lock acquisition anywhere in its body.
 func (a MutexDiscipline) checkFunc(p *Package, fd *ast.FuncDecl, guards map[*types.Named]guardInfo) []Finding {
-	locks := false
 	type access struct {
 		sel   *ast.SelectorExpr
 		owner *types.Named
@@ -69,30 +68,20 @@ func (a MutexDiscipline) checkFunc(p *Package, fd *ast.FuncDecl, guards map[*typ
 	}
 	var accesses []access
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if isSyncMethod(methodObjOf(p, sel), "Lock", "RLock") {
-					locks = true
-				}
-			}
-		case *ast.SelectorExpr:
-			s, ok := p.Info.Selections[n]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			named := namedOf(s.Recv())
-			if named == nil {
-				return true
-			}
-			gi, ok := guards[named]
-			if ok && gi.fields[n.Sel.Name] {
-				accesses = append(accesses, access{sel: n, owner: named, gi: gi})
-			}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		s, ok := p.Info.Selections[sel]
+		if !ok || s.Kind() != types.FieldVal {
+			return true
+		}
+		if named := namedOf(s.Recv()); named != nil && guards[named].fields[sel.Sel.Name] {
+			accesses = append(accesses, access{sel: sel, owner: named, gi: guards[named]})
 		}
 		return true
 	})
-	if locks || len(accesses) == 0 {
+	if len(accesses) == 0 || locksAnywhere(p, fd) {
 		return nil
 	}
 	var out []Finding
@@ -108,6 +97,19 @@ func (a MutexDiscipline) checkFunc(p *Package, fd *ast.FuncDecl, guards map[*typ
 			fd.Name.Name, acc.owner.Obj().Name(), acc.sel.Sel.Name, acc.gi.mu))
 	}
 	return out
+}
+
+// locksAnywhere reports whether any frame of fd — its body, a goroutine
+// body, a stored closure — acquires a mutex.
+func locksAnywhere(p *Package, fd *ast.FuncDecl) bool {
+	for _, frame := range framesOf(fd) {
+		for _, c := range frameLocks(p, frame) {
+			if c.lock {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // collectGuards finds the package's mutex-guarded struct fields: every

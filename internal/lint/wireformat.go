@@ -131,11 +131,9 @@ func jsonTagName(field *ast.Field) string {
 // sink against the tag rules; any named struct declared in the module
 // qualifies, not just this package's own.
 func (a WireFormat) checkMarshalSinks(p *Package, m *Module) []Finding {
-	g := p.CallGraph()
 	var out []Finding
-	for _, fn := range g.Funcs() {
-		fd := g.Decl(fn)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+	for _, fn := range m.Funcs(p) {
+		ast.Inspect(m.Decl(fn).Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
