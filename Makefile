@@ -34,10 +34,13 @@ vet:
 ## parallel over shared module summaries) under the race detector. The engine and obs
 ## packages run at -cpu 1,4: one proc looks and computes inline; with
 ## four, the sim tests (which lower the 96-robot pipelining floor to 1)
-## pipeline Look and Compute on the engine's worker pool.
+## pipeline Look and Compute on the engine's worker pool. The last line
+## is the serve lifecycle stress: run retention, job accounting and the
+## shared run id, 50 times each.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/serve/... ./internal/stream/... ./internal/geom/... ./internal/core/... ./internal/circlevis/... ./internal/lint/... ./cmd/vislint/...
 	$(GO) test -race -cpu 1,4 ./internal/sim/... ./internal/obs/...
+	$(GO) test ./internal/serve -race -count=50 -run '^(TestStreamRetention|TestJobAccounting|TestDebugHandler)$$'
 
 ## bench-smoke: every benchmark compiles and completes one iteration
 ## (catches drift between the experiment harness and bench_test.go).

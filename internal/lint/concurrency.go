@@ -397,7 +397,10 @@ type lockCall struct {
 	mu        string // the receiver as written, e.g. "w.mu"
 	key, disp string // lockKeyOf's type-level key and display name; "" when unnamed
 	lock      bool   // Lock or RLock; false for an unlock
-	deferred  bool   // a deferred unlock
+	// release is where an unlock takes effect: the call itself, the
+	// closing brace of the in-place literal a deferred unlock sits in,
+	// or NoPos for a deferred unlock of the frame (held to its end).
+	release token.Pos
 }
 
 // frameLocks is the one lock scan: it lists one frame's lock and unlock
@@ -406,13 +409,33 @@ type lockCall struct {
 // lock (a read lock mixed into a cycle with writers still deadlocks).
 func frameLocks(p *Package, frame ast.Node) []lockCall {
 	var out []lockCall
-	// Pre-order guarantees a DeferStmt is seen before its CallExpr
-	// child, so the deferred set is populated by the time the call is
-	// visited as a plain node.
-	deferred := make(map[*ast.CallExpr]bool)
+	// Pre-order guarantees a DeferStmt is seen before its CallExpr and
+	// literal children, and a literal before its body, so all are
+	// recorded by the time the call is visited as a plain node. A
+	// deferred call runs when the innermost literal called in place
+	// around it returns, or at the end of the frame outside any. A
+	// deferred literal is not one of those: it runs when its own
+	// enclosing literal (or the frame) returns, so an unlock it defers
+	// takes effect there too.
+	var lits []*ast.FuncLit
+	deferredLit := make(map[*ast.FuncLit]bool)
+	deferred := make(map[*ast.CallExpr]token.Pos)
 	inspectFrame(frame, func(n ast.Node) bool {
-		if ds, ok := n.(*ast.DeferStmt); ok {
-			deferred[ds.Call] = true
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if !deferredLit[n] {
+				lits = append(lits, n)
+			}
+		case *ast.DeferStmt:
+			if fl, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+				deferredLit[fl] = true
+			}
+			deferred[n.Call] = token.NoPos
+			for _, fl := range lits {
+				if fl.Pos() < n.Pos() && n.Pos() < fl.End() {
+					deferred[n.Call] = fl.Body.Rbrace // later literals nest deeper
+				}
+			}
 			return true
 		}
 		call, ok := n.(*ast.CallExpr)
@@ -429,10 +452,14 @@ func frameLocks(p *Package, frame ast.Node) []lockCall {
 			return true
 		}
 		key, disp := lockKeyOf(p, sel.X)
-		out = append(out, lockCall{
+		c := lockCall{
 			pos: call.Pos(), mu: exprString(sel.X), key: key, disp: disp,
-			lock: lock, deferred: !lock && deferred[call],
-		})
+			lock: lock, release: call.Pos(),
+		}
+		if at, ok := deferred[call]; ok && !lock {
+			c.release = at
+		}
+		out = append(out, c)
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
@@ -447,12 +474,13 @@ type lockRegion struct {
 }
 
 // lockRegions turns a frame's lock calls into held spans, in start
-// order: from each lock to the next non-deferred unlock of the same
-// mutex in source order (an early-return unlock inside a branch ends
-// the region there), and to end — the end of the frame — when the
-// unlock is deferred or missing. id names the mutex a call acts on:
-// the rendered receiver (locksafe) or the type-level key (lockorder);
-// calls with an empty id are skipped.
+// order: from each lock to where the next unlock of the same mutex in
+// source order takes effect (an early-return unlock inside a branch
+// ends the region there; a deferred unlock inside an in-place literal
+// ends it at the literal's closing brace), and to end — the end of the
+// frame — when the frame itself defers the unlock or never unlocks. id
+// names the mutex a call acts on: the rendered receiver (locksafe) or
+// the type-level key (lockorder); calls with an empty id are skipped.
 func lockRegions(calls []lockCall, end token.Pos, id func(lockCall) string) []lockRegion {
 	var rs []lockRegion
 	open := map[string]lockCall{}
@@ -460,14 +488,14 @@ func lockRegions(calls []lockCall, end token.Pos, id func(lockCall) string) []lo
 		k := id(c)
 		start, held := open[k]
 		switch {
-		case k == "" || c.deferred:
-			// Unnamed, or a deferred unlock: held to end-of-frame.
+		case k == "" || !c.lock && c.release == token.NoPos:
+			// Unnamed, or the frame's deferred unlock: held to end-of-frame.
 		case c.lock:
 			if !held {
 				open[k] = c
 			}
 		case held:
-			rs = append(rs, lockRegion{lockCall: start, end: c.pos})
+			rs = append(rs, lockRegion{lockCall: start, end: c.release})
 			delete(open, k)
 		}
 	}

@@ -46,14 +46,15 @@ func (s *store) relock() {
 }
 
 // The literal is invoked in place, so its lock calls belong to this
-// frame; its deferred unlock holds the region to the end of the frame.
+// frame; its deferred unlock runs when the literal returns, so the send
+// after the literal is outside the region.
 func (s *store) deferInLiteral() {
 	func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.n++
 	}()
-	s.ch <- s.n // want locksafe
+	s.ch <- s.n
 }
 
 // *Locked helpers run under the caller's lock and are exempt from
@@ -116,6 +117,17 @@ func (t *table) writeThenRead() {
 	t.rw.RLock()
 	t.rw.RUnlock()
 }
+
+// A deferred literal runs when the frame returns, so the unlock it
+// defers holds the region to the end of the frame: the send is inside.
+func (s *store) deferInDeferredLiteral() {
+	s.mu.Lock()
+	defer func() {
+		defer s.mu.Unlock()
+		s.n++
+	}()
+	s.ch <- s.n // want locksafe
+}
 `
 
 var wantAnalyzersRe = regexp.MustCompile(`// want ([a-z, ]+)$`)
@@ -158,18 +170,30 @@ func TestLockRegionRules(t *testing.T) {
 	}
 	// Each region is named after the mutex that opened it.
 	held := map[int]string{
-		31: "while holding s.mu;",
-		43: "while holding s.mu;",
-		50: "while holding the caller's lock;",
-		56: "calls drainLocked while holding s.mu,",
-		69: "(guarded by mu)",
-		80: "while holding c;",
-		84: "(guarded by Mutex)",
-		96: "acquires rt.table.mu while holding rt.table.rw,",
+		31:  "while holding s.mu;",
+		51:  "while holding the caller's lock;",
+		57:  "calls drainLocked while holding s.mu,",
+		70:  "(guarded by mu)",
+		81:  "while holding c;",
+		85:  "(guarded by Mutex)",
+		97:  "acquires rt.table.mu while holding rt.table.rw,",
+		116: "while holding s.mu;",
 	}
+	seen := map[int]bool{}
 	for _, f := range findings {
-		if frag := held[f.Pos.Line]; !strings.Contains(f.Message, frag) {
+		frag, ok := held[f.Pos.Line]
+		if !ok {
+			t.Errorf("line %d: finding %q has no expected message in held", f.Pos.Line, f.Message)
+			continue
+		}
+		seen[f.Pos.Line] = true
+		if !strings.Contains(f.Message, frag) {
 			t.Errorf("line %d: message %q does not contain %q", f.Pos.Line, f.Message, frag)
+		}
+	}
+	for line := range held {
+		if !seen[line] {
+			t.Errorf("line %d: no finding to check the message %q against", line, held[line])
 		}
 	}
 }

@@ -3,83 +3,16 @@ package serve
 import (
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"luxvis/internal/obs"
-	"luxvis/internal/sim"
 	"luxvis/internal/version"
 )
 
-// runRegistry tracks in-flight engine runs so /debug/runs can show what
-// the worker pool is doing right now, with each run's current epoch.
-type runRegistry struct {
-	mu sync.Mutex
-	// All fields below are guarded by mu.
-	seq  int64
-	runs map[int64]*runEntry
-}
-
-// runEntry is one in-flight run. epoch is atomic because the engine
-// goroutine stores it (via the observer) while handler goroutines load
-// it for the listing.
-type runEntry struct {
-	id        int64
-	algorithm string
-	scheduler string
-	family    string
-	n         int
-	seed      int64
-	started   time.Time
-	epoch     atomic.Int64
-}
-
-func newRunRegistry() *runRegistry {
-	return &runRegistry{runs: make(map[int64]*runEntry)}
-}
-
-func (g *runRegistry) add(req RunRequest, family string) *runEntry {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.seq++
-	e := &runEntry{
-		id:        g.seq,
-		algorithm: req.Algorithm,
-		scheduler: req.Scheduler,
-		family:    family,
-		n:         req.N,
-		seed:      req.Seed,
-		started:   time.Now(),
-	}
-	g.runs[e.id] = e
-	return e
-}
-
-func (g *runRegistry) remove(id int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.runs, id)
-}
-
-func (g *runRegistry) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.runs)
-}
-
-// observer returns the per-run observer that keeps the entry's epoch
-// counter current while the engine runs.
-func (e *runEntry) observer() sim.Observer {
-	return &obs.Funcs{
-		OnEpochEnd: func(s sim.EpochSample) { e.epoch.Store(int64(s.Epoch)) },
-	}
-}
-
 // DebugRun is one row of the /debug/runs listing.
 type DebugRun struct {
-	ID        int64  `json:"id"`
+	// ID is the run's registry id: for a streamed run, the id its
+	// POST /v1/runs returned.
+	ID        string `json:"id"`
 	Algorithm string `json:"algorithm"`
 	Scheduler string `json:"scheduler"`
 	Family    string `json:"family"`
@@ -87,7 +20,9 @@ type DebugRun struct {
 	Seed      int64  `json:"seed"`
 	// Epoch is the run's last completed epoch (0 while the first epoch
 	// is still in flight).
-	Epoch     int64     `json:"epoch"`
+	Epoch int64 `json:"epoch"`
+	// RunningMs and StartedAt count from when a worker began the run,
+	// not from its submission.
 	RunningMs int64     `json:"runningMs"`
 	StartedAt time.Time `json:"startedAt"`
 }
@@ -98,33 +33,26 @@ type DebugRuns struct {
 	Runs  []DebugRun `json:"runs"`
 }
 
-func (g *runRegistry) list() DebugRuns {
-	g.mu.Lock()
-	entries := make([]*runEntry, 0, len(g.runs))
-	for _, e := range g.runs {
-		entries = append(entries, e)
-	}
-	g.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	out := DebugRuns{Count: len(entries), Runs: make([]DebugRun, 0, len(entries))}
-	for _, e := range entries {
+// handleDebugRuns lists the runs executing on a worker now, from both
+// /v1/run and /v1/runs.
+func (s *Server) handleDebugRuns(w http.ResponseWriter, r *http.Request) {
+	runs := s.runs.list(running)
+	out := DebugRuns{Count: len(runs), Runs: make([]DebugRun, 0, len(runs))}
+	for _, rs := range runs {
+		e := rs.r
 		out.Runs = append(out.Runs, DebugRun{
 			ID:        e.id,
-			Algorithm: e.algorithm,
-			Scheduler: e.scheduler,
-			Family:    e.family,
-			N:         e.n,
-			Seed:      e.seed,
+			Algorithm: e.req.Algorithm,
+			Scheduler: e.req.Scheduler,
+			Family:    e.req.Family,
+			N:         e.req.N,
+			Seed:      e.req.Seed,
 			Epoch:     e.epoch.Load(),
-			RunningMs: time.Since(e.started).Milliseconds(),
-			StartedAt: e.started,
+			RunningMs: time.Since(rs.out.started).Milliseconds(),
+			StartedAt: rs.out.started,
 		})
 	}
-	return out
-}
-
-func (s *Server) handleDebugRuns(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.runs.list())
+	writeJSON(w, http.StatusOK, out)
 }
 
 // DebugHandler returns the operator-only handler: net/http/pprof under

@@ -47,7 +47,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	pw.Gauge("visserve_cache_size", "Result-cache entries.", float64(cs.Size))
 	pw.Gauge("visserve_cache_capacity", "Result-cache capacity.", float64(cs.Capacity))
 
-	pw.Gauge("visserve_runs_inflight", "Engine runs currently executing.", float64(s.runs.len()))
+	pw.Gauge("visserve_runs_inflight", "Engine runs currently executing.", float64(len(s.runs.list(running))))
 	pw.Gauge("visserve_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
 
 	// Per-endpoint latency histograms, sorted for a stable exposition.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"luxvis/internal/serve"
 )
@@ -109,21 +110,79 @@ func TestConcurrentScrapes(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDebugHandler: /debug/runs lists the runs executing now, from both
+// endpoints, by their one registry id — a streamed run under the id its
+// 202 returned, a /v1/run run under an id that GET /v1/runs never
+// shows — and drops each run once it ends. pprof answers on the same
+// listener.
 func TestDebugHandler(t *testing.T) {
-	s, ts := newTestServer(t, serve.Options{Workers: 1})
-	if code := getJSON(t, ts.URL+"/v1/run?n=8&scheduler=async-rr&seed=2", nil); code != http.StatusOK {
-		t.Fatalf("/v1/run status %d", code)
-	}
-
+	s, ts := newTestServer(t, serve.Options{Workers: 2})
 	ds := httptest.NewServer(s.DebugHandler())
 	defer ds.Close()
 
+	// Both runs stop at their first epoch boundary past 200ms.
+	id := startStreamRun(t, ts.URL, `{"n": 256, "skipChecks": true, "timeoutMs": 200, "seed": 1}`)
+	synced := getAsync(ts.URL + "/v1/run?n=256&skipChecks=true&timeoutMs=200&seed=2")
 	var runs serve.DebugRuns
-	if code := getJSON(t, ds.URL+"/debug/runs", &runs); code != http.StatusOK {
-		t.Fatalf("/debug/runs status %d", code)
+	for deadline := time.Now().Add(time.Minute); runs.Count < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("/debug/runs never listed both runs: %+v", runs)
+		}
+		if code := getJSON(t, ds.URL+"/debug/runs", &runs); code != http.StatusOK {
+			t.Fatalf("/debug/runs status %d", code)
+		}
 	}
-	if runs.Count != 0 || len(runs.Runs) != 0 {
-		t.Errorf("in-flight runs after completion: %+v", runs)
+	ids := map[int64]string{}
+	started := map[int64]time.Time{}
+	for _, r := range runs.Runs {
+		ids[r.Seed], started[r.Seed] = r.ID, r.StartedAt
+	}
+	if ids[1] != id {
+		t.Fatalf("/debug/runs lists the streamed run as %q, its 202 returned %q", ids[1], id)
+	}
+	// StartedAt is when a worker began the run, never before the
+	// submission time that the run's status reports.
+	var st serve.StreamRunStatus
+	if code := getJSON(t, ts.URL+"/v1/runs/"+id, &st); code != http.StatusOK {
+		t.Fatalf("GET /v1/runs/%s status %d", id, code)
+	}
+	if started[1].IsZero() || started[1].Before(st.StartedAt) || started[2].IsZero() {
+		t.Fatalf("/debug/runs startedAt %v, streamed run submitted at %v: want worker start times", started, st.StartedAt)
+	}
+	syncID := ids[2]
+	if syncID == "" || syncID == id {
+		t.Fatalf("/debug/runs ids %v: want a distinct id for the /v1/run run", ids)
+	}
+	listed := func() map[string]bool {
+		var list serve.StreamRunList
+		if code := getJSON(t, ts.URL+"/v1/runs", &list); code != http.StatusOK {
+			t.Fatalf("GET /v1/runs status %d", code)
+		}
+		out := map[string]bool{}
+		for _, st := range list.Runs {
+			out[st.ID] = true
+		}
+		return out
+	}
+	if l := listed(); !l[id] || l[syncID] {
+		t.Fatalf("GET /v1/runs lists %v: want %s and not the /v1/run run %s", l, id, syncID)
+	}
+	if code := getJSON(t, ts.URL+"/v1/runs/"+syncID, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/runs/%s (a /v1/run run): status %d, want 404", syncID, code)
+	}
+
+	if code := <-synced; code != http.StatusGatewayTimeout {
+		t.Fatalf("/v1/run status %d, want 504", code)
+	}
+	waitRunEnd(t, ts.URL, id)
+	// The /v1/run handler answers at its deadline; the worker settles
+	// the run at its next epoch boundary.
+	waitMetrics(t, ts, "idle workers", func(m serve.MetricsSnapshot) bool { return m.Workers.Busy == 0 })
+	if code := getJSON(t, ds.URL+"/debug/runs", &runs); code != http.StatusOK || runs.Count != 0 || len(runs.Runs) != 0 {
+		t.Fatalf("/debug/runs after both runs ended: status %d, %+v", code, runs)
+	}
+	if l := listed(); !l[id] || l[syncID] {
+		t.Fatalf("GET /v1/runs after the runs ended lists %v: want the retained %s only", l, id)
 	}
 
 	// pprof index answers on the debug listener.

@@ -7,11 +7,22 @@
 //
 // Endpoints:
 //
-//	GET/POST /v1/run         run one scenario, JSON summary
-//	POST     /v1/experiment  run one experiment table, text output
-//	GET      /healthz        liveness + build identity
-//	GET      /metrics        queue/worker/cache/latency snapshot (JSON),
-//	                         or Prometheus text when Accept: text/plain
+//	GET/POST /v1/run               run one scenario, JSON summary
+//	POST     /v1/runs              start a streamed run, 202 + run status
+//	GET      /v1/runs              list streamed runs (live and retained)
+//	GET      /v1/runs/{id}         one streamed run's status
+//	GET      /v1/runs/{id}/stream  follow or replay it (SSE or NDJSON)
+//	GET      /v1/replay/{name}     replay a stored trace (with a trace dir)
+//	POST     /v1/experiment        run one experiment table, text output
+//	GET      /healthz              liveness + build identity
+//	GET      /metrics              queue/worker/cache/latency snapshot (JSON),
+//	                               or Prometheus text when Accept: text/plain
+//
+// Every run has one lifecycle, whichever endpoint starts it: a run
+// record in one registry (queued → running → done/failed), one job on
+// the pool, and one settle step on the worker that counts the job,
+// caches its summary and retains or forgets the run. Only /v1/runs runs
+// carry a stream hub.
 //
 // DebugHandler serves a second, operator-only handler (pprof and
 // /debug/runs) intended for a loopback listener.
@@ -103,8 +114,7 @@ type Server struct {
 	cache   *lru
 	metrics *serverMetrics
 	totals  *obs.EngineTotals
-	runs    *runRegistry
-	streams *streamRegistry
+	runs    *registry
 	// streamCtr aggregates hub/subscriber accounting across every
 	// streamable run — the luxvis_stream_* families.
 	streamCtr *stream.Counters
@@ -117,17 +127,31 @@ type Server struct {
 	closed bool
 }
 
-// job is one queued simulation request. The worker fills res/err and
-// then closes done; the close is the happens-before edge that makes
-// the fields safe to read on the handler side.
+// job is one queued unit of work: an engine run or an experiment. The
+// worker fills res/err and settle closes done; the close is the
+// happens-before edge that makes the fields safe to read on the handler
+// side.
 type job struct {
 	ctx    context.Context
-	run    func(context.Context) (*RunSummary, error)
+	cancel context.CancelFunc
+	body   func(context.Context) (*RunSummary, error)
 	key    string // cache key; "" disables caching (experiments)
+	run    *run   // registry record; nil for experiments
 	res    *RunSummary
 	err    error
 	done   chan struct{}
-	server *Server
+}
+
+// newJob returns a job for body whose context ends with parent or after
+// timeoutMs (Options.DefaultTimeout when 0), whichever comes first.
+func (s *Server) newJob(parent context.Context, timeoutMs int, key string, r *run,
+	body func(context.Context) (*RunSummary, error)) *job {
+	timeout := s.opt.DefaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(parent, timeout)
+	return &job{ctx: ctx, cancel: cancel, body: body, key: key, run: r, done: make(chan struct{})}
 }
 
 // New starts a Server with opt.Workers workers already running.
@@ -139,8 +163,7 @@ func New(opt Options) *Server {
 		cache:     newLRU(opt.CacheSize),
 		metrics:   newServerMetrics(),
 		totals:    obs.NewEngineTotals(),
-		runs:      newRunRegistry(),
-		streams:   newStreamRegistry(opt.StreamRetain),
+		runs:      newRegistry(opt.StreamRetain),
 		streamCtr: &stream.Counters{},
 		started:   time.Now(),
 	}
@@ -156,21 +179,45 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		// A job whose deadline already passed while queued is dead on
 		// arrival: don't burn a worker on it.
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
-			close(j.done)
+		if j.err = j.ctx.Err(); j.err != nil {
+			s.settle(j)
 			continue
 		}
 		s.metrics.workerBusy(+1)
-		j.res, j.err = j.run(j.ctx)
-		if j.err == nil && j.key != "" {
+		j.res, j.err = j.body(j.ctx)
+		s.settle(j)
+		s.metrics.workerBusy(-1)
+	}
+}
+
+// settle is an accepted job's one terminal step, taken on its worker: it
+// counts the outcome exactly once, caches a run's summary, settles the
+// run's registry record, wakes the waiting handler and cancels the
+// job's context. done closes before the cancel, so a handler that sees
+// the context end can tell a settled job from an expired one (await).
+func (s *Server) settle(j *job) {
+	switch {
+	case j.err == nil:
+		s.metrics.jobCompleted()
+		if j.key != "" {
 			// Cache even when the waiting handler has already given
 			// up: the next identical request then hits.
 			s.cache.put(j.key, j.res)
 		}
-		s.metrics.workerBusy(-1)
-		close(j.done)
+	case isTimeout(j.err):
+		s.metrics.jobTimedOut()
+	default:
+		s.metrics.jobFailed()
 	}
+	if j.run != nil {
+		s.runs.settle(j.run, j.res, j.err, true)
+	}
+	close(j.done)
+	j.cancel()
+}
+
+func isTimeout(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 var (
@@ -178,22 +225,74 @@ var (
 	errFull   = errors.New("serve: job queue is full")
 )
 
-// submit enqueues j without blocking: a full queue is load to shed, not
-// to absorb.
+// submit enqueues j without blocking — a full queue is load to shed, not
+// to absorb — and counts it accepted or rejected. A rejected job is
+// never settled: its context is released and its run forgotten here.
 func (s *Server) submit(j *job) error {
+	err := errClosed
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
+	if !s.closed {
+		select {
+		// The send can never race Close's close(s.queue): both run under
+		// s.mu, and the closed flag checked above flips before the close.
+		case s.queue <- j: //lint:allow chanown send and close are serialized by s.mu via the closed flag
+			err = nil
+		default:
+			err = errFull
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		s.metrics.jobRejected()
+		j.cancel()
+		if j.run != nil {
+			s.runs.settle(j.run, nil, err, false)
+		}
+		return err
+	}
+	s.metrics.jobAccepted()
+	return nil
+}
+
+// await submits j and waits for its settle step. It answers the client
+// itself when j is shed, fails or outlives its deadline, and reports
+// whether j succeeded, leaving only the success body to the handler.
+func (s *Server) await(w http.ResponseWriter, j *job, what string) bool {
+	if err := s.submit(j); err != nil {
+		rejectJob(w, err)
+		return false
 	}
 	select {
-	// The send can never race Close's close(s.queue): both run under
-	// s.mu, and the closed flag checked above flips before the close.
-	case s.queue <- j: //lint:allow chanown send and close are serialized by s.mu via the closed flag
-		return nil
-	default:
-		return errFull
+	case <-j.done:
+	case <-j.ctx.Done():
+		select {
+		case <-j.done: // settled; settle's own cancel ended the context
+		default:
+			// The handler answers promptly; the worker (if it picked the
+			// job up) aborts at its next epoch boundary and settles then.
+			writeError(w, http.StatusGatewayTimeout,
+				"%s aborted: %v (runs stop at their next epoch boundary)", what, j.ctx.Err())
+			return false
+		}
 	}
+	switch {
+	case j.err == nil:
+		return true
+	case isTimeout(j.err):
+		writeError(w, http.StatusGatewayTimeout, "%v", j.err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", j.err)
+	}
+	return false
+}
+
+func rejectJob(w http.ResponseWriter, err error) {
+	if errors.Is(err, errFull) {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "%v", err)
+		return
+	}
+	writeError(w, http.StatusServiceUnavailable, "%v", err)
 }
 
 // Close stops accepting jobs and drains the in-flight ones; it returns
@@ -534,13 +633,6 @@ func (req RunRequest) cacheKey() string {
 		c.NonRigid, c.MinMoveFrac, c.MaxEpochs, c.SkipChecks)
 }
 
-func (s *Server) timeoutFor(ms int) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return s.opt.DefaultTimeout
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := parseRunRequest(r)
 	if err != nil {
@@ -565,30 +657,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
-
-	j := &job{
-		ctx:    ctx,
-		key:    key,
-		done:   make(chan struct{}),
-		server: s,
-		run:    s.runJob(req, algo, scheduler, fam, nil, nil),
+	rec := s.runs.add(req, nil)
+	j := s.newJob(r.Context(), req.TimeoutMs, key, rec, s.runBody(rec, algo, scheduler, fam))
+	if s.await(w, j, "run") {
+		writeJSON(w, http.StatusOK, *j.res)
 	}
-	s.dispatch(w, j)
 }
 
-// runJob returns the body of a run job: the engine runs req with the
-// server's lifetime totals, a /debug/runs entry and extra (nil for none)
-// observing, and the Result is mapped to a RunSummary. onStart, when
-// non-nil, runs first on the worker.
-func (s *Server) runJob(req RunRequest, algo model.Algorithm, scheduler sched.Scheduler, fam config.Family,
-	extra sim.Observer, onStart func()) func(context.Context) (*RunSummary, error) {
+// runBody returns the body of r's job: the engine runs r's request with
+// the server's lifetime totals, r's epoch counter and r's hub (when
+// streamed) observing, and the Result is mapped to a RunSummary.
+func (s *Server) runBody(r *run, algo model.Algorithm, scheduler sched.Scheduler,
+	fam config.Family) func(context.Context) (*RunSummary, error) {
 	return func(ctx context.Context) (*RunSummary, error) {
-		if onStart != nil {
-			onStart()
-		}
-		c := req.canonical()
+		s.runs.start(r)
+		c := r.req.canonical()
 		pts := config.Generate(fam, c.N, c.Seed)
 		opt := sim.DefaultOptions(scheduler, c.Seed)
 		opt.MaxEpochs = c.MaxEpochs
@@ -597,11 +680,16 @@ func (s *Server) runJob(req RunRequest, algo model.Algorithm, scheduler sched.Sc
 			opt.MinMoveFrac = c.MinMoveFrac
 		}
 		opt.SkipSafetyChecks = c.SkipChecks
-		// Lifetime engine totals for /metrics plus a per-run epoch
-		// tracker for /debug/runs; both are lock-free on the engine side.
-		entry := s.runs.add(req, string(fam))
-		defer s.runs.remove(entry.id)
-		opt.Observer = obs.Multi(s.totals, entry.observer(), extra)
+		// Lifetime engine totals for /metrics plus the run's epoch
+		// counter for /debug/runs; both are lock-free on the engine side.
+		// A nil *stream.Hub would be a non-nil Observer, so it stays out.
+		var hub sim.Observer
+		if r.hub != nil {
+			hub = r.hub
+		}
+		opt.Observer = obs.Multi(s.totals, &obs.Funcs{
+			OnEpochEnd: func(e sim.EpochSample) { r.epoch.Store(int64(e.Epoch)) },
+		}, hub)
 		res, err := sim.RunCtx(ctx, algo, pts, opt)
 		if err != nil {
 			return nil, err
@@ -612,7 +700,7 @@ func (s *Server) runJob(req RunRequest, algo model.Algorithm, scheduler sched.Sc
 			Family:        string(fam),
 			N:             res.N,
 			Seed:          res.Seed,
-			NonRigid:      req.NonRigid,
+			NonRigid:      c.NonRigid,
 			Reached:       res.Reached,
 			Epochs:        res.Epochs,
 			FirstCVEpoch:  res.FirstCVEpoch,
@@ -666,46 +754,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
-
 	// The handler may time out while the worker still writes, so the
 	// buffer is locked per write — never across the run itself, which
 	// blocks on the experiment's worker pool.
 	out := &lockedBuffer{}
-	j := &job{
-		ctx:  ctx,
-		done: make(chan struct{}),
-		run: func(ctx context.Context) (*RunSummary, error) {
-			cfg := exp.Config{
-				Quick:     req.Quick,
-				Seeds:     req.Seeds,
-				MaxEpochs: req.MaxEpochs,
-				Out:       out,
-				Ctx:       ctx,
-			}
-			return nil, exp.Run(req.Name, cfg)
-		},
-	}
-	if err := s.submitTracked(j); err != nil {
-		s.rejectJob(w, err)
-		return
-	}
-	select {
-	case <-j.done:
-		if j.err != nil {
-			s.failJob(w, j.err)
-			return
+	j := s.newJob(r.Context(), req.TimeoutMs, "", nil, func(ctx context.Context) (*RunSummary, error) {
+		cfg := exp.Config{
+			Quick:     req.Quick,
+			Seeds:     req.Seeds,
+			MaxEpochs: req.MaxEpochs,
+			Out:       out,
+			Ctx:       ctx,
 		}
-		s.metrics.jobCompleted()
-		text := out.String()
+		return nil, exp.Run(req.Name, cfg)
+	})
+	if s.await(w, j, "experiment") {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_, _ = fmt.Fprint(w, text)
-	case <-ctx.Done():
-		s.metrics.jobTimedOut()
-		writeError(w, http.StatusGatewayTimeout,
-			"experiment aborted: %v (runs stop at their next epoch boundary)", ctx.Err())
+		_, _ = fmt.Fprint(w, out.String())
 	}
 }
 
@@ -728,57 +794,4 @@ func (b *lockedBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// submitTracked submits with accepted/rejected accounting.
-func (s *Server) submitTracked(j *job) error {
-	if err := s.submit(j); err != nil {
-		s.metrics.jobRejected()
-		return err
-	}
-	s.metrics.jobAccepted()
-	return nil
-}
-
-func (s *Server) rejectJob(w http.ResponseWriter, err error) {
-	if errors.Is(err, errFull) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	}
-	writeError(w, http.StatusServiceUnavailable, "%v", err)
-}
-
-func (s *Server) failJob(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.metrics.jobTimedOut()
-		writeError(w, http.StatusGatewayTimeout, "%v", err)
-		return
-	}
-	s.metrics.jobFailed()
-	writeError(w, http.StatusInternalServerError, "%v", err)
-}
-
-// dispatch runs the common submit/await/respond path for run jobs.
-func (s *Server) dispatch(w http.ResponseWriter, j *job) {
-	if err := s.submitTracked(j); err != nil {
-		s.rejectJob(w, err)
-		return
-	}
-	select {
-	case <-j.done:
-		if j.err != nil {
-			s.failJob(w, j.err)
-			return
-		}
-		s.metrics.jobCompleted()
-		writeJSON(w, http.StatusOK, *j.res)
-	case <-j.ctx.Done():
-		// The handler answers promptly; the worker (if it picked the
-		// job up) aborts at its next epoch boundary and the accounting
-		// for its slot resolves then.
-		s.metrics.jobTimedOut()
-		writeError(w, http.StatusGatewayTimeout,
-			"run aborted: %v (engine stops at the next epoch boundary)", j.ctx.Err())
-	}
 }

@@ -54,6 +54,38 @@ func metricsSnapshot(t *testing.T, ts *httptest.Server) serve.MetricsSnapshot {
 	return m
 }
 
+// waitMetrics polls /metrics until cond holds.
+func waitMetrics(t *testing.T, ts *httptest.Server, what string, cond func(serve.MetricsSnapshot) bool) serve.MetricsSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		m := metricsSnapshot(t, ts)
+		if cond(m) {
+			return m
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waited a minute for %s: %+v %+v %+v", what, m.Jobs, m.Workers, m.Queue)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// getAsync issues a GET on its own goroutine and delivers the status
+// code (0 when the request itself failed).
+func getAsync(url string) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	var body map[string]any
@@ -361,5 +393,75 @@ func TestMethodNotAllowed(t *testing.T) {
 	code := getJSON(t, ts.URL+"/v1/experiment", nil)
 	if code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/experiment status %d, want 405", code)
+	}
+}
+
+// TestJobAccounting pins the settle step's bookkeeping: once the server
+// is idle, every accepted job has been counted exactly once, as
+// completed, timed out or failed. The jobs cover a sync miss, a cache
+// hit (which is not a job), async runs, a 50ms-deadline run, a job that
+// expired while queued and an experiment; a shed job counts only as
+// rejected.
+func TestJobAccounting(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1, QueueDepth: 1})
+	run := func(query string) int { return getJSON(t, ts.URL+"/v1/run?"+query, nil) }
+	idle := func(m serve.MetricsSnapshot) bool { return m.Workers.Busy == 0 && m.Queue.Depth == 0 }
+
+	if code := run("n=8&seed=1"); code != http.StatusOK {
+		t.Fatalf("sync miss: status %d", code)
+	}
+	var hit serve.RunSummary
+	if code := getJSON(t, ts.URL+"/v1/run?n=8&seed=1", &hit); code != http.StatusOK || !hit.Cached {
+		t.Fatalf("repeat request: status %d cached %v, want a cache hit", code, hit.Cached)
+	}
+	waitRunDone(t, ts.URL, startStreamRun(t, ts.URL, `{"n": 8, "seed": 2}`))
+	waitMetrics(t, ts, "an idle server", idle)
+
+	// A 50ms-deadline run holds the only worker until its first epoch
+	// boundary; an async run queued behind it expires before the worker
+	// frees, and the next submission finds the queue full.
+	pinned := getAsync(ts.URL + "/v1/run?n=384&skipChecks=true&timeoutMs=50&seed=3")
+	waitMetrics(t, ts, "the pinned run on the worker", func(m serve.MetricsSnapshot) bool {
+		return m.Workers.Busy == 1 && m.Queue.Depth == 0
+	})
+	expired := startStreamRun(t, ts.URL, `{"n": 8, "seed": 4, "timeoutMs": 1}`)
+	waitMetrics(t, ts, "a full queue", func(m serve.MetricsSnapshot) bool { return m.Queue.Depth == 1 })
+	if code := run("n=8&seed=5"); code != http.StatusTooManyRequests {
+		t.Fatalf("submission to a full queue: status %d, want 429", code)
+	}
+	if code := <-pinned; code != http.StatusGatewayTimeout {
+		t.Fatalf("50ms-deadline run: status %d, want 504", code)
+	}
+	if st := waitRunEnd(t, ts.URL, expired); st.State != "failed" {
+		t.Fatalf("run queued past its deadline ended %q, want failed", st.State)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/experiment", "application/json",
+		strings.NewReader(`{"name":"T1","quick":true,"timeoutMs":1}`))
+	if err != nil {
+		t.Fatalf("POST /v1/experiment: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("1ms experiment: status %d, want 504", resp.StatusCode)
+	}
+	// The worker takes jobs in order, so once this last run answers,
+	// every job before it has settled.
+	if code := run("n=8&seed=6"); code != http.StatusOK {
+		t.Fatalf("last run: status %d", code)
+	}
+
+	m := waitMetrics(t, ts, "an idle server", idle)
+	j := m.Jobs
+	if j.Accepted != j.Completed+j.Timeouts+j.Failed {
+		t.Fatalf("accepted %d != completed %d + timeouts %d + failed %d",
+			j.Accepted, j.Completed, j.Timeouts, j.Failed)
+	}
+	want := serve.JobCounters{Accepted: 6, Completed: 3, Rejected: 1, Timeouts: 3}
+	if j != want {
+		t.Fatalf("job counters %+v, want %+v", j, want)
+	}
+	if m.Cache.Hits != 1 {
+		t.Fatalf("cache hits %d, want 1", m.Cache.Hits)
 	}
 }

@@ -3,170 +3,33 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"luxvis/internal/stream"
 )
 
-// Streaming endpoints. A run started with POST /v1/runs executes
-// asynchronously on the same bounded worker pool as /v1/run, with a
-// stream.Hub attached as its observer. Any number of clients can then
-// follow the run live via GET /v1/runs/{id}/stream — each frame is
-// encoded once by the hub and fanned out; a slow client is dropped-from
-// or evicted per the hub policy and can resume with Last-Event-ID.
-// Finished runs are retained (bounded) so the same endpoint replays
-// them from the hub's history ring; stored trace files replay through
-// GET /v1/replay/{name} when Options.TraceDir is set.
+// Streaming endpoints. A run started with POST /v1/runs is an ordinary
+// run (same registry, job and settle step as /v1/run) that carries a
+// stream.Hub as its observer and outlives its request. Any number of
+// clients can follow it live via GET /v1/runs/{id}/stream — each frame
+// is encoded once by the hub and fanned out; a slow client's ring
+// overwrites oldest-first and refills from the hub's history, and a
+// client can resume with Last-Event-ID. Finished runs are retained
+// (bounded) so the same endpoint replays them from the hub's history
+// ring; stored trace files replay through GET /v1/replay/{name} when
+// Options.TraceDir is set.
 //
 // Content negotiation: Accept: text/event-stream gets SSE (id: is the
 // resume cursor, data: is one trace-JSONL line, the terminal frame is
 // event: end); anything else gets raw NDJSON — exactly the trace JSONL
 // encoding, so `curl .../stream | visreplay -` works.
-
-// streamRun is one asynchronous, streamable run.
-type streamRun struct {
-	id      string
-	req     RunRequest
-	family  string
-	hub     *stream.Hub
-	started time.Time
-
-	mu      sync.Mutex
-	state   string // "queued" | "running" | "done" | "failed"
-	summary *RunSummary
-	runErr  error
-}
-
-func (sr *streamRun) setRunning() {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.state == "queued" {
-		sr.state = "running"
-	}
-}
-
-// finish records the terminal state and makes sure the hub is closed
-// even when the engine never reached RunEnd (queue rejection, abort
-// before the first epoch).
-func (sr *streamRun) finish(res *RunSummary, err error) {
-	sr.mu.Lock()
-	if err != nil {
-		sr.state = "failed"
-		sr.runErr = err
-	} else {
-		sr.state = "done"
-		sr.summary = res
-	}
-	sr.mu.Unlock()
-	sr.hub.Close(err)
-}
-
-func (sr *streamRun) status() (state string, summary *RunSummary, runErr error) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.state, sr.summary, sr.runErr
-}
-
-// streamRegistry tracks streamable runs by id: the in-flight ones plus a
-// bounded tail of completed ones retained for replay-from-cache.
-//
-// Retention and goroutine-lifecycle contract (the dynamic half of what
-// the goleak analyzer proves statically): the registry owns no
-// goroutines and closes no channels — each run's engine goroutine is
-// the runner's, exits via its context or run end, and its hub is
-// closed by RunEnd before completed() is called. Eviction is therefore
-// pure bookkeeping: Release (idempotent) returns the evicted hub's
-// ring accounting, while subscribers mid-drain on it still finish —
-// a closed hub serves retained history to io.EOF, so forgetting a run
-// can never park a consumer goroutine forever.
-type streamRegistry struct {
-	retain int
-
-	mu   sync.Mutex
-	seq  int64
-	runs map[string]*streamRun
-	// doneOrder lists completed run ids oldest-first; once it exceeds
-	// retain, the oldest hub is released and its run forgotten.
-	doneOrder []string
-}
-
-func newStreamRegistry(retain int) *streamRegistry {
-	return &streamRegistry{retain: retain, runs: make(map[string]*streamRun)}
-}
-
-func (g *streamRegistry) add(req RunRequest, family string, hub *stream.Hub) *streamRun {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.seq++
-	sr := &streamRun{
-		id:      fmt.Sprintf("r%d", g.seq),
-		req:     req,
-		family:  family,
-		hub:     hub,
-		started: time.Now(),
-		state:   "queued",
-	}
-	g.runs[sr.id] = sr
-	return sr
-}
-
-func (g *streamRegistry) get(id string) (*streamRun, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	sr, ok := g.runs[id]
-	return sr, ok
-}
-
-// remove forgets a run that never started (submit failure).
-func (g *streamRegistry) remove(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.runs, id)
-}
-
-// completed moves a finished run into the bounded retention tail,
-// evicting (and releasing) the oldest beyond the retain limit.
-func (g *streamRegistry) completed(sr *streamRun) {
-	var evicted []*streamRun
-	g.mu.Lock()
-	g.doneOrder = append(g.doneOrder, sr.id)
-	for len(g.doneOrder) > g.retain {
-		oldest := g.doneOrder[0]
-		g.doneOrder = g.doneOrder[1:]
-		if old, ok := g.runs[oldest]; ok {
-			delete(g.runs, oldest)
-			evicted = append(evicted, old)
-		}
-	}
-	g.mu.Unlock()
-	// Release returns ring accounting to the shared counters; subscribers
-	// mid-drain on an evicted hub still finish (the hub itself is GC-safe,
-	// only the registry forgets it).
-	for _, old := range evicted {
-		old.hub.Release()
-	}
-}
-
-func (g *streamRegistry) list() []*streamRun {
-	g.mu.Lock()
-	out := make([]*streamRun, 0, len(g.runs))
-	for _, sr := range g.runs {
-		out = append(out, sr)
-	}
-	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].started.Before(out[j].started) })
-	return out
-}
 
 // StreamRunStatus is the GET /v1/runs/{id} (and list element) response.
 type StreamRunStatus struct {
@@ -189,27 +52,27 @@ type StreamRunStatus struct {
 	Error       string      `json:"error,omitempty"`
 }
 
-func (sr *streamRun) statusJSON() StreamRunStatus {
-	state, summary, runErr := sr.status()
-	st := sr.hub.Stats()
+// status renders the run as a /v1/runs document.
+func (rs runSnap) status() StreamRunStatus {
+	r, st := rs.r, rs.r.hub.Stats()
 	out := StreamRunStatus{
-		ID:          sr.id,
-		State:       state,
-		Algorithm:   sr.req.Algorithm,
-		Scheduler:   sr.req.Scheduler,
-		Family:      sr.family,
-		N:           sr.req.N,
-		Seed:        sr.req.Seed,
+		ID:          r.id,
+		State:       rs.out.state,
+		Algorithm:   r.req.Algorithm,
+		Scheduler:   r.req.Scheduler,
+		Family:      r.req.Family,
+		N:           r.req.N,
+		Seed:        r.req.Seed,
 		Frames:      st.Frames,
 		Retained:    st.Depth,
 		OldestSeq:   st.OldestSeq,
 		Subscribers: st.Subscribers,
-		StartedAt:   sr.started,
-		StreamPath:  "/v1/runs/" + sr.id + "/stream",
-		Summary:     summary,
+		StartedAt:   r.submitted,
+		StreamPath:  "/v1/runs/" + r.id + "/stream",
+		Summary:     rs.out.summary,
 	}
-	if runErr != nil {
-		out.Error = runErr.Error()
+	if rs.out.err != nil {
+		out.Error = rs.out.err.Error()
 	}
 	return out
 }
@@ -228,64 +91,21 @@ func (s *Server) handleRunsCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	hub := stream.NewHub(stream.HubOptions{
+	rec := s.runs.add(req, stream.NewHub(stream.HubOptions{
 		History:  s.opt.StreamHistory,
 		Counters: s.streamCtr,
-		Note:     "live stream",
-	})
-	sr := s.streams.add(req, string(fam), hub)
-
+	}))
 	// The run deliberately outlives the creating request: the POST
 	// returns 202 immediately and clients follow the run over the stream
 	// endpoint, so the job's lifetime is bounded by its own timeout, not
-	// by r.Context().
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(req.TimeoutMs))
-
-	j := &job{
-		ctx:    ctx,
-		key:    req.cacheKey(),
-		done:   make(chan struct{}),
-		server: s,
-		run:    s.runJob(req, algo, scheduler, fam, hub, sr.setRunning),
-	}
-	if err := s.submitTracked(j); err != nil {
-		cancel()
-		sr.finish(nil, err)
-		s.streams.remove(sr.id)
-		hub.Release()
-		s.rejectJob(w, err)
+	// by r.Context(). Its worker's settle step ends it.
+	j := s.newJob(context.Background(), req.TimeoutMs, req.cacheKey(), rec,
+		s.runBody(rec, algo, scheduler, fam))
+	if err := s.submit(j); err != nil {
+		rejectJob(w, err)
 		return
 	}
-	go s.finishAsync(sr, j, cancel)
-
-	writeJSON(w, http.StatusAccepted, StreamRunStatus{
-		ID:         sr.id,
-		State:      "queued",
-		Algorithm:  req.Algorithm,
-		Scheduler:  req.Scheduler,
-		Family:     string(fam),
-		N:          req.N,
-		Seed:       req.Seed,
-		StartedAt:  sr.started,
-		StreamPath: "/v1/runs/" + sr.id + "/stream",
-	})
-}
-
-// finishAsync settles an async job once its worker closes done: terminal
-// state, job accounting, and completed-run retention.
-func (s *Server) finishAsync(sr *streamRun, j *job, cancel context.CancelFunc) {
-	<-j.done
-	cancel()
-	sr.finish(j.res, j.err)
-	switch {
-	case j.err == nil:
-		s.metrics.jobCompleted()
-	case errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled):
-		s.metrics.jobTimedOut()
-	default:
-		s.metrics.jobFailed()
-	}
-	s.streams.completed(sr)
+	writeJSON(w, http.StatusAccepted, runSnap{rec, outcome{state: "queued"}}.status())
 }
 
 // StreamRunList is the GET /v1/runs response.
@@ -295,21 +115,21 @@ type StreamRunList struct {
 }
 
 func (s *Server) handleRunsList(w http.ResponseWriter, r *http.Request) {
-	runs := s.streams.list()
+	runs := s.runs.list(streamed)
 	out := StreamRunList{Count: len(runs), Runs: make([]StreamRunStatus, 0, len(runs))}
-	for _, sr := range runs {
-		out.Runs = append(out.Runs, sr.statusJSON())
+	for _, rs := range runs {
+		out.Runs = append(out.Runs, rs.status())
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
-	sr, ok := s.streams.get(r.PathValue("id"))
+	rs, ok := s.runs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, sr.statusJSON())
+	writeJSON(w, http.StatusOK, rs.status())
 }
 
 // streamParams are the per-request stream shaping knobs.
@@ -391,29 +211,17 @@ func (s *Server) streamTo(w http.ResponseWriter, r *http.Request, src stream.Sou
 		}
 		return rc.Flush()
 	}
-	err := stream.Replay(r.Context(), src, opt, emit)
-	switch {
-	case err == nil:
-		if sse && endNote != nil {
-			if note := endNote(); note != nil {
-				// Terminal SSE frame: a write error here means the client
-				// hung up after receiving the whole stream.
-				_, _ = fmt.Fprintf(w, "event: end\ndata: %s\n\n", note)
-				//lint:allow errsink best-effort flush of the terminal frame; the stream is complete and the connection is about to close
-				_ = rc.Flush()
-			}
-		}
-	case errors.Is(err, stream.ErrEvicted):
-		if sse {
-			// Best-effort eviction notice on a connection we are
-			// abandoning anyway.
-			_, _ = fmt.Fprint(w, "event: error\ndata: {\"error\":\"evicted: subscriber fell too far behind\"}\n\n")
-			//lint:allow errsink best-effort flush of the eviction notice on a connection being abandoned
-			_ = rc.Flush()
-		}
-	default:
-		// Client went away or the run context ended: the transport is
-		// already torn down, nothing to report.
+	// A Replay error means the client went away or the request context
+	// ended: the transport is already torn down, nothing to report.
+	if stream.Replay(r.Context(), src, opt, emit) != nil || !sse || endNote == nil {
+		return
+	}
+	if note := endNote(); note != nil {
+		// Terminal SSE frame: a write error here means the client hung up
+		// after receiving the whole stream.
+		_, _ = fmt.Fprintf(w, "event: end\ndata: %s\n\n", note)
+		//lint:allow errsink best-effort flush of the terminal frame; the stream is complete and the connection is about to close
+		_ = rc.Flush()
 	}
 }
 
@@ -424,7 +232,7 @@ func (s *Server) streamTo(w http.ResponseWriter, r *http.Request, src stream.Sou
 // reads, so a GET that lands just after a small run ends is not slowed
 // to the 1x replay pace. ?speed= opts into synthetic pacing.
 func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
-	sr, ok := s.streams.get(r.PathValue("id"))
+	rs, ok := s.runs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
@@ -434,9 +242,10 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sub := sr.hub.Subscribe(p.after)
+	hub := rs.r.hub
+	sub := hub.Subscribe(p.after)
 	defer sub.Close()
-	s.streamTo(w, r, sub, stream.ReplayOptions{Speed: p.speed, FromEpoch: p.fromEpoch}, sub.Gap(), sr.hub.EndNote)
+	s.streamTo(w, r, sub, stream.ReplayOptions{Speed: p.speed, FromEpoch: p.fromEpoch}, sub.Gap(), hub.EndNote)
 }
 
 // traceName accepts plain file names only — path separators and dot

@@ -43,7 +43,7 @@ func drain(t *testing.T, s *Subscriber) []Frame {
 // same order with contiguous seqs, and the payloads are shared (encoded
 // once, not per subscriber).
 func TestHubFanOutOrdering(t *testing.T) {
-	h := NewHub(HubOptions{History: 1024, SubscriberBuf: 1024})
+	h := NewHub(HubOptions{History: 1024})
 	const subs = 8
 	var got [subs][]Frame
 	var wg sync.WaitGroup
@@ -82,7 +82,7 @@ func TestHubFanOutOrdering(t *testing.T) {
 // exactly the retained frames after it; a cursor older than the ring
 // reports the gap.
 func TestHubResumeFromRing(t *testing.T) {
-	h := NewHub(HubOptions{History: 32, SubscriberBuf: 64})
+	h := NewHub(HubOptions{History: 32})
 	pump(h, 100) // frames 1..101; ring retains the last 32 (seqs 70..101)
 
 	s := h.Subscribe(80)
@@ -111,12 +111,12 @@ func TestHubResumeFromRing(t *testing.T) {
 	}
 }
 
-// TestHubDropOldestExactCount: the satellite contract — the drop counter
-// equals the ring-overwrite count exactly. A subscriber that never reads
-// while M frames flow through a ring of capacity R loses exactly M-R.
+// TestHubDropOldestExactCount: the drop counter equals the ring-overwrite
+// count exactly. A subscriber that never reads while M frames flow
+// through a ring of capacity R (with a shorter history) loses exactly M-R.
 func TestHubDropOldestExactCount(t *testing.T) {
-	const ringCap, total = 16, 400 // 400 frames incl. header
-	h := NewHub(HubOptions{History: 8, SubscriberBuf: ringCap, Policy: DropOldest})
+	const ringCap, total = subscriberBuf, subscriberBuf + 384 // frames incl. header
+	h := NewHub(HubOptions{History: 8})
 	s := h.Subscribe(0)
 	defer s.Close()
 
@@ -136,61 +136,12 @@ func TestHubDropOldestExactCount(t *testing.T) {
 	}
 }
 
-// TestHubEvictPolicy: with Evict, a stalled subscriber is detached the
-// moment its ring overflows; it drains what it buffered, then sees
-// ErrEvicted. Fast subscribers on the same hub are unaffected.
-func TestHubEvictPolicy(t *testing.T) {
-	h := NewHub(HubOptions{History: 512, SubscriberBuf: 8, Policy: Evict})
-	slow := h.Subscribe(0)
-	defer slow.Close()
-
-	// The fast reader still drains asynchronously, so give it headroom —
-	// per-subscriber buffers are exactly for consumers with different
-	// latency profiles on one hub.
-	fast := h.SubscribeBuf(0, 256)
-	defer fast.Close()
-	var fastFrames []Frame
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fastFrames = drain(t, fast)
-	}()
-
-	pump(h, 100)
-	<-done
-	if len(fastFrames) != 101 {
-		t.Fatalf("fast subscriber got %d frames, want 101", len(fastFrames))
-	}
-
-	ctx := context.Background()
-	got := 0
-	for {
-		_, err := slow.Next(ctx)
-		if err == ErrEvicted {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		got++
-	}
-	if got != 8 {
-		t.Fatalf("evicted subscriber drained %d frames, want its full ring of 8", got)
-	}
-	if !slow.Evicted() {
-		t.Fatal("Evicted() false after eviction")
-	}
-	if h.Stats().Subscribers != 1 {
-		t.Fatalf("hub still tracks %d subscribers, want 1 (slow evicted)", h.Stats().Subscribers)
-	}
-}
-
 // TestHubStalledSubscriberNeverBlocksPublisher: the core backpressure
 // contract — publishing with a subscriber that never reads completes
 // promptly (the engine observer callback can never be blocked by a
 // consumer). Run with -race in CI.
 func TestHubStalledSubscriberNeverBlocksPublisher(t *testing.T) {
-	h := NewHub(HubOptions{History: 64, SubscriberBuf: 4, Policy: DropOldest})
+	h := NewHub(HubOptions{History: 1024})
 	stalled := h.Subscribe(0)
 	defer stalled.Close()
 
@@ -204,10 +155,10 @@ func TestHubStalledSubscriberNeverBlocksPublisher(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("publisher blocked by a stalled subscriber")
 	}
-	// The recovery window is the hub history (64), not the subscriber's
-	// tiny ring: everything beyond it is lost, counted exactly, eagerly
+	// The recovery window is the hub history (1024), not the subscriber's
+	// smaller ring: everything beyond it is lost, counted exactly, eagerly
 	// (no Next call has happened yet).
-	if want := uint64(50001 - 64); stalled.Dropped() != want {
+	if want := uint64(50001 - 1024); stalled.Dropped() != want {
 		t.Fatalf("dropped %d, want %d", stalled.Dropped(), want)
 	}
 }
@@ -220,11 +171,11 @@ func TestHubStalledSubscriberNeverBlocksPublisher(t *testing.T) {
 // lossless no matter how bursty the publisher.
 func TestHubSlowConsumerRecoversFromHistory(t *testing.T) {
 	const total = 1000 // incl. header; well within default History
-	h := NewHub(HubOptions{SubscriberBuf: 4, Policy: DropOldest})
+	h := NewHub(HubOptions{})
 	s := h.Subscribe(0)
 	defer s.Close()
 
-	pump(h, total-1) // synchronous burst: the 4-slot ring is overrun at once
+	pump(h, total-1) // synchronous burst: the subscriber's ring is overrun at once
 	h.Close(nil)
 
 	frames := drain(t, s)
@@ -248,7 +199,7 @@ func TestHubSlowConsumerRecoversFromHistory(t *testing.T) {
 // one publisher, readers draining, and subscribe/close churn.
 func TestHubConcurrentChurn(t *testing.T) {
 	var c Counters
-	h := NewHub(HubOptions{History: 128, SubscriberBuf: 16, Counters: &c})
+	h := NewHub(HubOptions{History: 128, Counters: &c})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -290,7 +241,7 @@ func TestHubConcurrentChurn(t *testing.T) {
 // TestHubTeardown: subscribers attached before, during and after Close
 // all drain cleanly to io.EOF; late subscribers replay from the ring.
 func TestHubTeardown(t *testing.T) {
-	h := NewHub(HubOptions{History: 1024, SubscriberBuf: 2048})
+	h := NewHub(HubOptions{History: 1024})
 	early := h.Subscribe(0)
 	defer early.Close()
 

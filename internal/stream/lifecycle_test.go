@@ -77,33 +77,6 @@ func TestSubscriberCloseIdempotent(t *testing.T) {
 	h.Close(nil)
 }
 
-// TestSubscriberCloseAfterEviction: the publisher that evicts a
-// subscriber returns its gauge slot at eviction; Close afterwards must
-// not return it again.
-func TestSubscriberCloseAfterEviction(t *testing.T) {
-	var ctr stream.Counters
-	h := stream.NewHub(stream.HubOptions{
-		Policy:        stream.Evict,
-		SubscriberBuf: 1,
-		Counters:      &ctr,
-	})
-	defer h.Release()
-
-	s := h.Subscribe(0)
-	publishN(h, 4) // ring of 1 overflows at the second frame: evicted
-	if !s.Evicted() {
-		t.Fatal("subscriber not evicted by overflow under the Evict policy")
-	}
-	if got := ctr.Snapshot().Subscribers; got != 0 {
-		t.Fatalf("subscribers gauge after eviction = %d; want 0", got)
-	}
-	s.Close()
-	if got := ctr.Snapshot().Subscribers; got != 0 {
-		t.Fatalf("subscribers gauge after Close of evicted subscriber = %d; want 0 (slot already returned)", got)
-	}
-	h.Close(nil)
-}
-
 // TestSubscribeAfterClose: subscribing to a finished hub is the
 // replay-from-cache path — the subscriber drains the retained history
 // and then sees io.EOF without ever blocking.

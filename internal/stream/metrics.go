@@ -13,11 +13,10 @@ import (
 type Counters struct {
 	// subscribers is the number of currently attached subscribers.
 	subscribers atomic.Int64
-	// droppedTotal counts frames overwritten in subscriber rings
-	// (DropOldest policy) — each is one frame one slow consumer missed.
+	// droppedTotal counts frames a slow subscriber lost (overwritten in
+	// both its ring and the hub history) — each is one frame one slow
+	// consumer missed.
 	droppedTotal atomic.Int64
-	// evictedTotal counts subscribers force-detached by the Evict policy.
-	evictedTotal atomic.Int64
 	// framesTotal counts frames published across all hubs.
 	framesTotal atomic.Int64
 	// hubDepth is the total number of frames currently retained in hub
@@ -36,7 +35,6 @@ type Counters struct {
 type CountersSnapshot struct {
 	Subscribers  int64
 	DroppedTotal int64
-	EvictedTotal int64
 	FramesTotal  int64
 	HubDepth     int64
 	EncodeNanos  int64
@@ -51,7 +49,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	return CountersSnapshot{
 		Subscribers:  c.subscribers.Load(),
 		DroppedTotal: c.droppedTotal.Load(),
-		EvictedTotal: c.evictedTotal.Load(),
 		FramesTotal:  c.framesTotal.Load(),
 		HubDepth:     c.hubDepth.Load(),
 		EncodeNanos:  c.encodeNanos.Load(),
@@ -64,8 +61,7 @@ func (c *Counters) Snapshot() CountersSnapshot {
 func (c *Counters) WritePrometheus(pw *obs.TextWriter, prefix string) {
 	s := c.Snapshot()
 	pw.Gauge(prefix+"_subscribers", "Currently attached stream subscribers.", float64(s.Subscribers))
-	pw.Counter(prefix+"_dropped_total", "Frames dropped from slow subscriber rings (drop-oldest overwrites).", float64(s.DroppedTotal))
-	pw.Counter(prefix+"_evicted_total", "Subscribers force-detached by the evict slow-consumer policy.", float64(s.EvictedTotal))
+	pw.Counter(prefix+"_dropped_total", "Frames lost by slow subscribers (overwritten in both their ring and the hub history).", float64(s.DroppedTotal))
 	pw.Counter(prefix+"_frames_total", "Frames published across all hubs.", float64(s.FramesTotal))
 	pw.Gauge(prefix+"_hub_depth", "Frames currently retained in hub history rings.", float64(s.HubDepth))
 	pw.Counter(prefix+"_encode_ns", "Nanoseconds spent encoding frames (each frame is encoded once, shared by all subscribers).", float64(s.EncodeNanos))

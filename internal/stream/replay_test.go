@@ -207,7 +207,7 @@ func TestFileSourceForwardsBytes(t *testing.T) {
 // headers differ (the live one cannot know the totals yet). The full
 // live stream must also parse with the stored-trace decoder.
 func TestLiveStreamMatchesStoredTrace(t *testing.T) {
-	h := NewHub(HubOptions{History: 1 << 17, SubscriberBuf: 1 << 17})
+	h := NewHub(HubOptions{History: 1 << 17})
 	pts := config.Generate(config.Uniform, 8, 3)
 	opt := sim.DefaultOptions(sched.NewAsyncRandom(), 3)
 	opt.RecordTrace = true
@@ -216,7 +216,7 @@ func TestLiveStreamMatchesStoredTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
-	if !h.Done() {
+	if h.EndNote() == nil {
 		t.Fatal("hub not closed by RunEnd")
 	}
 

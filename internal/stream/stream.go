@@ -2,9 +2,9 @@
 // attaches to an in-flight run as a sim.Observer, encodes each record
 // exactly once into the internal/trace JSONL wire format, and publishes
 // the encoded frame to every subscriber through a bounded per-subscriber
-// ring. A slow subscriber never blocks the engine: depending on the
-// hub's policy its ring either overwrites oldest-first (with an exact
-// drop counter) or the subscriber is evicted.
+// ring. A slow subscriber never blocks the engine: its ring overwrites
+// oldest-first, the overwritten span is refilled from the hub's history,
+// and only frames that left both are lost (with an exact drop counter).
 //
 // The hub also retains a bounded history ring of recent frames, which is
 // what makes SSE Last-Event-ID resume work: a reconnecting subscriber
@@ -39,7 +39,7 @@ type Frame struct {
 	// SSE event id and the resume cursor.
 	Seq uint64
 	// Kind mirrors the record's kind field ("header", "look", "compute",
-	// "step", "crash", "epoch").
+	// "step", "crash").
 	Kind string
 	// Epoch is the record's epoch stamp (0 for the header and for events
 	// in the first epoch); replay's from-epoch seek filters on it.
@@ -47,39 +47,17 @@ type Frame struct {
 	Data  []byte
 }
 
-// SlowPolicy selects what happens to a subscriber whose ring is full
-// when the next frame arrives.
-type SlowPolicy int
-
 const (
-	// DropOldest overwrites the subscriber's oldest buffered frame; the
-	// subscriber stays attached and Next transparently refills the
-	// overwritten span from the hub's history ring. Frames are actually
-	// lost — and counted, exactly, by Subscriber.Dropped — only when the
-	// consumer lags beyond the History window, so the last copy is gone.
-	DropOldest SlowPolicy = iota
-	// Evict detaches the subscriber: its Next returns ErrEvicted after
-	// the buffered frames drain. Use when a stalled consumer should be
-	// disconnected rather than served a gappy stream.
-	Evict
-)
-
-func (p SlowPolicy) String() string {
-	switch p {
-	case DropOldest:
-		return "drop-oldest"
-	case Evict:
-		return "evict"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// Defaults for HubOptions zero fields.
-const (
-	// DefaultHistory is the hub history-ring capacity (resume window).
+	// DefaultHistory is the hub history-ring capacity (resume window)
+	// when HubOptions.History is zero.
 	DefaultHistory = 16384
-	// DefaultSubscriberBuf is the per-subscriber ring capacity.
-	DefaultSubscriberBuf = 256
+	// subscriberBuf is the per-subscriber ring capacity. When a frame
+	// arrives at a full ring, the oldest buffered frame is overwritten;
+	// the subscriber stays attached and Next refills the overwritten span
+	// from the hub's history ring. Frames are actually lost — and counted,
+	// exactly, by Subscriber.Dropped — only when the consumer lags beyond
+	// the History window, so the last copy is gone.
+	subscriberBuf = 256
 )
 
 // HubOptions configures a Hub. The zero value is usable.
@@ -99,24 +77,10 @@ type HubOptions struct {
 	// History is the hub-side retained-frame ring capacity (default
 	// DefaultHistory). Resume reaches at most this far back; a finished
 	// hub whose run fit entirely in the ring can be replayed in full.
-	// Under DropOldest it is also the slow-consumer recovery window:
-	// a lagging subscriber refills overwritten frames from history and
-	// only loses frames once it trails by more than this.
+	// It is also the slow-consumer recovery window: a lagging subscriber
+	// refills overwritten frames from history and only loses frames once
+	// it trails by more than this.
 	History int
-	// SubscriberBuf is the per-subscriber ring capacity (default
-	// DefaultSubscriberBuf).
-	SubscriberBuf int
-	// Policy is the slow-consumer policy (default DropOldest).
-	Policy SlowPolicy
-	// EpochMarks publishes an "epoch" record at every epoch boundary.
-	// Off by default: the engine's event stream already carries epoch
-	// stamps, and a mark-free stream stays byte-compatible with stored
-	// traces. Turn it on for sources with no per-event stream (the
-	// concurrent runtime emits only epoch-granular callbacks).
-	EpochMarks bool
-	// Note is stamped into the live header's note field (default
-	// "live stream").
-	Note string
 	// Counters, when non-nil, receives process-wide accounting shared
 	// across hubs (the luxvis_stream_* families).
 	Counters *Counters
@@ -126,23 +90,11 @@ func (o HubOptions) withDefaults() HubOptions {
 	if o.History <= 0 {
 		o.History = DefaultHistory
 	}
-	if o.SubscriberBuf <= 0 {
-		o.SubscriberBuf = DefaultSubscriberBuf
-	}
-	if o.Note == "" {
-		o.Note = "live stream"
-	}
 	return o
 }
 
-// Subscriber errors.
-var (
-	// ErrEvicted reports that the hub's Evict policy detached this
-	// subscriber because its ring was full when a frame arrived.
-	ErrEvicted = errors.New("stream: subscriber evicted (slow consumer)")
-	// ErrClosed reports an operation on a subscriber after its Close.
-	ErrClosed = errors.New("stream: subscriber closed")
-)
+// ErrClosed reports an operation on a subscriber after its Close.
+var ErrClosed = errors.New("stream: subscriber closed")
 
 // Hub is a broadcast hub for one run. It implements sim.Observer: attach
 // it via sim.Options.Observer (or obs.Multi) and it converts the run's
@@ -161,7 +113,6 @@ type Hub struct {
 	count   int
 	nextSeq uint64 // seq assigned to the next published frame; first is 1
 	subs    map[*Subscriber]struct{}
-	info    sim.RunInfo
 	done    bool
 	endNote []byte // JSON end-of-stream status, set at Close
 	closeCh chan struct{}
@@ -207,19 +158,16 @@ func (h *Hub) encode(v any) []byte {
 
 // RunStart implements sim.Observer: it publishes the header frame. The
 // live header carries the run identity but zero totals (they are not
-// known yet) and a note marking it as a live stream; event lines are
+// known yet) and the note "live stream"; event lines are
 // byte-identical to a stored trace of the same run.
 func (h *Hub) RunStart(info sim.RunInfo) {
-	h.mu.Lock()
-	h.info = info
-	h.mu.Unlock()
 	data := h.encode(trace.Header{
 		Kind:      "header",
 		Algorithm: info.Algorithm,
 		Scheduler: info.Scheduler,
 		N:         info.N,
 		Seed:      info.Seed,
-		Note:      h.opt.Note,
+		Note:      "live stream",
 	})
 	h.publish("header", 0, data)
 }
@@ -245,15 +193,9 @@ func (h *Hub) CycleEnd(sim.CycleInfo) {}
 // MoveEnd implements sim.Observer (no frame).
 func (h *Hub) MoveEnd(sim.MoveInfo) {}
 
-// EpochEnd implements sim.Observer: with EpochMarks it publishes an
-// epoch-boundary record.
-func (h *Hub) EpochEnd(s sim.EpochSample) {
-	if !h.opt.EpochMarks {
-		return
-	}
-	data := h.encode(trace.EpochMark{Kind: "epoch", Epoch: s.Epoch, CV: s.CV})
-	h.publish("epoch", s.Epoch, data)
-}
+// EpochEnd implements sim.Observer (no frame; events carry their epoch
+// stamp).
+func (h *Hub) EpochEnd(sim.EpochSample) {}
 
 // ViolationFound implements sim.Observer (no frame; the violating event
 // itself is in the stream).
@@ -267,7 +209,7 @@ func (h *Hub) RunEnd(res *sim.Result, aborted error) {
 	if aborted != nil {
 		status.Aborted = aborted.Error()
 	}
-	h.CloseNote(status)
+	h.closeNote(status)
 }
 
 // endStatus is the end-of-stream summary surfaced by EndNote (and the
@@ -287,11 +229,11 @@ func (h *Hub) Close(err error) {
 	if err != nil {
 		status.Aborted = err.Error()
 	}
-	h.CloseNote(status)
+	h.closeNote(status)
 }
 
-// CloseNote ends the stream with the given status record.
-func (h *Hub) CloseNote(status any) {
+// closeNote ends the stream with the given status record.
+func (h *Hub) closeNote(status endStatus) {
 	note := h.encode(status)
 	h.mu.Lock()
 	if h.done {
@@ -309,25 +251,11 @@ func (h *Hub) CloseNote(status any) {
 	}
 }
 
-// Done reports whether the stream has ended.
-func (h *Hub) Done() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.done
-}
-
 // EndNote returns the end-of-stream status JSON (nil while live).
 func (h *Hub) EndNote() []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.endNote
-}
-
-// Info returns the run identity seen at RunStart.
-func (h *Hub) Info() sim.RunInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.info
 }
 
 // HubStats is a point-in-time summary of one hub.
@@ -340,8 +268,6 @@ type HubStats struct {
 	OldestSeq uint64
 	// Subscribers is the number of attached subscribers.
 	Subscribers int
-	// Done reports whether the stream has ended.
-	Done bool
 }
 
 // Stats returns the hub's current state.
@@ -352,7 +278,6 @@ func (h *Hub) Stats() HubStats {
 		Frames:      h.nextSeq - 1,
 		Depth:       h.count,
 		Subscribers: len(h.subs),
-		Done:        h.done,
 	}
 	if h.count > 0 {
 		s.OldestSeq = h.ring[h.head].Seq
@@ -377,7 +302,7 @@ func (h *Hub) Release() {
 }
 
 // publish appends a frame to the history ring and fans it out. It never
-// blocks: subscriber rings absorb, spill to history, or evict. A frame
+// blocks: subscriber rings absorb or spill to history. A frame
 // becomes *lost* for a subscriber only when neither that subscriber's
 // ring nor the hub history retains it any longer; the loss is counted
 // at the overwrite that removes the last copy, so drop counters are
@@ -415,22 +340,12 @@ func (h *Hub) publish(kind string, epoch int, data []byte) {
 			}
 		}
 	}
-	var evicted []*Subscriber
 	for s := range h.subs {
-		if !s.pushLocked(f) {
-			evicted = append(evicted, s)
-		}
-	}
-	for _, s := range evicted {
-		delete(h.subs, s)
+		s.pushLocked(f)
 	}
 	h.mu.Unlock()
 	if c != nil {
 		c.framesTotal.Add(1)
-		if n := len(evicted); n > 0 {
-			c.evictedTotal.Add(int64(n))
-			c.subscribers.Add(-int64(n))
-		}
 	}
 }
 
@@ -438,7 +353,7 @@ func (h *Hub) publish(kind string, epoch int, data []byte) {
 // Close when done (the HTTP layer defers it). Not safe for concurrent
 // Next calls from multiple goroutines.
 //
-// Delivery is two-tier under DropOldest: the subscriber's own bounded
+// Delivery is two-tier: the subscriber's own bounded
 // ring is the fast path, and when a burst overwrites it, Next refills
 // the overwritten span from the hub's history ring. A frame is dropped
 // — counted exactly, once — only when it has left both, i.e. the
@@ -454,7 +369,6 @@ type Subscriber struct {
 	count   int
 	dropped uint64
 	gap     uint64 // frames already unrecoverable at Subscribe (resume truncation)
-	evicted bool
 	closed  bool
 	notify  chan struct{}
 }
@@ -465,22 +379,11 @@ type Subscriber struct {
 // finished hub is the replay-from-cache path: the subscriber drains the
 // retained history and then sees io.EOF.
 func (h *Hub) Subscribe(afterSeq uint64) *Subscriber {
-	return h.SubscribeBuf(afterSeq, 0)
-}
-
-// SubscribeBuf is Subscribe with a per-subscriber ring capacity override
-// (buf <= 0 uses the hub default). A consumer that knows it reads in
-// bursts can buy itself headroom without changing the hub's policy for
-// everyone else.
-func (h *Hub) SubscribeBuf(afterSeq uint64, buf int) *Subscriber {
-	if buf <= 0 {
-		buf = h.opt.SubscriberBuf
-	}
 	h.mu.Lock()
 	s := &Subscriber{
 		h:      h,
 		next:   afterSeq + 1,
-		ring:   make([]Frame, buf),
+		ring:   make([]Frame, subscriberBuf),
 		notify: make(chan struct{}, 1),
 	}
 	// Place the cursor. Frames the history ring has already shed are the
@@ -507,21 +410,12 @@ func (h *Hub) SubscribeBuf(afterSeq uint64, buf int) *Subscriber {
 	return s
 }
 
-// pushLocked buffers f for this subscriber; h.mu is held. It reports
-// false when the Evict policy detaches the subscriber.
-func (s *Subscriber) pushLocked(f Frame) bool {
-	if s.closed || s.evicted {
-		return true // already detached from delivery; nothing to do
-	}
-	if f.Seq < s.next {
-		return true // cursor already past this frame (resume ahead of publish)
+// pushLocked buffers f for this subscriber; h.mu is held.
+func (s *Subscriber) pushLocked(f Frame) {
+	if s.closed || f.Seq < s.next {
+		return // detached, or the cursor is already past f (resume ahead of publish)
 	}
 	if s.count == len(s.ring) {
-		if s.h.opt.Policy == Evict {
-			s.evicted = true
-			s.wake()
-			return false
-		}
 		// Full ring: the oldest frame's slot is exactly where the new
 		// tail lands once head advances, so one write both drops the
 		// oldest and appends the newest. The overwritten frame is only
@@ -538,12 +432,11 @@ func (s *Subscriber) pushLocked(f Frame) bool {
 		s.ring[s.head] = f
 		s.head = (s.head + 1) % len(s.ring)
 		s.wake()
-		return true
+		return
 	}
 	s.ring[(s.head+s.count)%len(s.ring)] = f
 	s.count++
 	s.wake()
-	return true
 }
 
 // wake nudges a parked Next without blocking. h.mu is held; the notify
@@ -557,8 +450,7 @@ func (s *Subscriber) wake() {
 }
 
 // Next returns the next frame. It blocks until a frame arrives, the
-// stream ends (io.EOF after all buffered frames drain), the subscriber
-// is evicted (ErrEvicted, likewise after draining), or ctx is done.
+// stream ends (io.EOF after all buffered frames drain), or ctx is done.
 //
 // When a burst overwrote part of this subscriber's ring, Next refills
 // the missing span from the hub's history ring, so a slow consumer only
@@ -580,7 +472,7 @@ func (s *Subscriber) Next(ctx context.Context) (Frame, error) {
 			s.h.mu.Unlock()
 			return f, nil
 		}
-		if !s.evicted && s.h.count > 0 && s.next < s.h.nextSeq {
+		if s.h.count > 0 && s.next < s.h.nextSeq {
 			oldest := s.h.ring[s.h.head].Seq
 			if s.next >= oldest {
 				// Refill: our ring shed this frame (or the cursor is
@@ -602,20 +494,6 @@ func (s *Subscriber) Next(ctx context.Context) (Frame, error) {
 				s.h.mu.Unlock()
 				continue
 			}
-		}
-		if s.evicted {
-			// Drain our own buffer first: eviction detaches from future
-			// publishes, it does not revoke what was already buffered.
-			if s.count > 0 {
-				f := s.ring[s.head]
-				s.head = (s.head + 1) % len(s.ring)
-				s.count--
-				s.next = f.Seq + 1
-				s.h.mu.Unlock()
-				return f, nil
-			}
-			s.h.mu.Unlock()
-			return Frame{}, ErrEvicted
 		}
 		if s.h.done {
 			s.h.mu.Unlock()
@@ -646,13 +524,6 @@ func (s *Subscriber) Dropped() uint64 {
 // resume).
 func (s *Subscriber) Gap() uint64 { return s.gap }
 
-// Evicted reports whether the hub detached this subscriber.
-func (s *Subscriber) Evicted() bool {
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.evicted
-}
-
 // Close detaches the subscriber. Idempotent.
 func (s *Subscriber) Close() {
 	s.h.mu.Lock()
@@ -661,12 +532,9 @@ func (s *Subscriber) Close() {
 		return
 	}
 	s.closed = true
-	wasEvicted := s.evicted
 	delete(s.h.subs, s)
 	s.h.mu.Unlock()
-	// An evicted subscriber's gauge slot was already returned by the
-	// publisher that evicted it.
-	if c := s.h.opt.Counters; c != nil && !wasEvicted {
+	if c := s.h.opt.Counters; c != nil {
 		c.subscribers.Add(-1)
 	}
 }

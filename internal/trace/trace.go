@@ -52,18 +52,6 @@ type Event struct {
 	Epoch int `json:"epoch,omitempty"`
 }
 
-// EpochMark is an optional epoch-boundary record in a JSONL stream. The
-// engine's RecordTrace output never contains marks (its event lines are
-// the canonical stream); live stream sources that have no per-event
-// stream — the concurrent runtime — emit marks so subscribers still see
-// progress. Consumers that only understand events skip unknown kinds.
-type EpochMark struct {
-	Kind  string `json:"kind"` // always "epoch"
-	Epoch int    `json:"epoch"`
-	// CV reports whether Complete Visibility held at the boundary.
-	CV bool `json:"cv"`
-}
-
 // HeaderOf builds the trace header for a completed run.
 func HeaderOf(res sim.Result) Header {
 	return Header{
