@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vet race bench-smoke fuzz-smoke scenarios bench-visibility bench-stream bench-check stream-soak check
+.PHONY: build test allocs lint vet race bench-smoke fuzz-smoke scenarios bench-visibility bench-stream bench-check stream-soak check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,4 -count=1 -run '^TestResultDigests$$' ./internal/core
+
+## allocs: the zero-allocation guards, verbose, mirroring CI's step:
+## the visibility kernel's steady state, a warm convex hull (and a warm
+## ConvexHullInto), and a warm LogVis Compute on a full view whose
+## shared hull is built, for a corner and an interior robot.
+allocs:
+	$(GO) test ./internal/geom ./internal/core -run '^(TestKernelZeroAllocSteadyState|TestConvexHullAllocs|TestLogVisComputeAllocs)$$' -count=1 -v
 
 ## lint: run the domain-aware static analysis suite (see DESIGN.md,
 ## "Static invariants"). Fails on any error-severity finding. Every run
@@ -93,5 +100,5 @@ stream-soak:
 	$(GO) test ./internal/serve -race -count=1 -run '^TestStreamSoak$$' -v
 
 ## check: everything a PR must pass, in fail-fast order.
-check: build vet lint test race bench-smoke fuzz-smoke scenarios
+check: build vet lint test allocs race bench-smoke fuzz-smoke scenarios
 	@echo "all gates passed"

@@ -117,7 +117,7 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 		return a.computeOnLine(s, pts)
 	}
 
-	hull := geom.ConvexHull(pts)
+	hull := s.World.Hull(pts)
 	switch hull.Classify(self) {
 	case geom.HullCorner:
 		return a.computeCorner(s)
@@ -136,7 +136,9 @@ type scratch struct {
 	// Snapshot.Points; pts[1:] are the visible robots' positions.
 	pts     []geom.Point
 	beacons []geom.Point
-	slots   []slot
+	// beaconHull holds the corners of the visible beacons' hull.
+	beaconHull []geom.Point
+	slots      []slot
 	// boundaryRing's buffers.
 	byAngle     []beaconAngle
 	cornerAngle []float64
@@ -511,8 +513,8 @@ func (a *LogVis) candidateSlots(s model.Snapshot, sc *scratch) []slot {
 	if len(beacons) < 2 {
 		return nil
 	}
-	bh := geom.ConvexHull(beacons)
-	cs := bh.Corners
+	cs := geom.ConvexHullInto(sc.beaconHull, beacons).Corners
+	sc.beaconHull = cs
 	var ring []geom.Point
 	switch len(cs) {
 	case 0, 1:

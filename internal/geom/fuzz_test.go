@@ -237,7 +237,8 @@ func sameCorners(a, b []geom.Point) bool {
 	return slices.EqualFunc(a, b, func(p, q geom.Point) bool { return eq(p.X, q.X) && eq(p.Y, q.Y) })
 }
 
-// FuzzConvexHull checks ConvexHull against referenceHull, and, for
+// FuzzConvexHull checks ConvexHull against referenceHull and
+// ConvexHullInto, into a used buffer, against ConvexHull, and, for
 // inputs without NaN, that reversing or shuffling the input leaves the
 // corners unchanged. With a NaN, Less is no order and the input order
 // decides the hull for both implementations alike.
@@ -250,6 +251,10 @@ func FuzzConvexHull(f *testing.F) {
 		got := geom.ConvexHull(pts).Corners
 		if want := referenceHull(pts); !sameCorners(got, want) {
 			t.Fatalf("ConvexHull(%v) = %v, reference %v", pts, got, want)
+		}
+		dirty := []geom.Point{geom.Pt(7, 7), geom.Pt(8, 8), geom.Pt(9, 9)}
+		if into := geom.ConvexHullInto(dirty, pts).Corners; !sameCorners(into, got) {
+			t.Fatalf("ConvexHullInto(dirty, %v) = %v, ConvexHull %v", pts, into, got)
 		}
 		if slices.ContainsFunc(pts, func(p geom.Point) bool { return math.IsNaN(p.X) || math.IsNaN(p.Y) }) {
 			return

@@ -40,9 +40,16 @@ type Hull struct {
 // gives Orient's answer exactly.
 //
 // The sorted copy and the chain stack live in pooled scratch, so a warm
-// call allocates only the returned corners, an exact-length copy that
-// never aliases the scratch.
-func ConvexHull(pts []Point) Hull {
+// call allocates only the returned corners, a fresh slice that never
+// aliases the scratch.
+func ConvexHull(pts []Point) Hull { return ConvexHullInto(nil, pts) }
+
+// ConvexHullInto is ConvexHull with the corners written into dst's
+// storage, which it grows when too small: the returned Corners alias dst
+// whenever dst has room for them. A warm call with a large enough dst
+// allocates nothing. dst may alias pts.
+func ConvexHullInto(dst, pts []Point) Hull {
+	dst = dst[:0]
 	sc := hullPool.Get().(*hullScratch)
 	defer hullPool.Put(sc)
 	p := sortedXY(pts, sc.sorted)
@@ -57,17 +64,17 @@ func ConvexHull(pts []Point) Hull {
 	p = uniq
 	n := len(p)
 	if n == 0 {
-		return Hull{}
+		return Hull{Corners: dst}
 	}
 	if n == 1 {
-		return Hull{Corners: []Point{p[0]}}
+		return Hull{Corners: append(dst, p[0])}
 	}
 	if AllCollinear(p) {
 		lo, hi := LineExtremes(p)
 		if lo == hi {
-			return Hull{Corners: []Point{p[lo]}}
+			return Hull{Corners: append(dst, p[lo])}
 		}
-		return Hull{Corners: []Point{p[lo], p[hi]}}
+		return Hull{Corners: append(dst, p[lo], p[hi])}
 	}
 
 	// Build lower then upper chain, keeping only strict left turns so
@@ -99,9 +106,7 @@ func ConvexHull(pts []Point) Hull {
 		hull = append(hull, q)
 	}
 	sc.chain = hull
-	corners := make([]Point, len(hull)-1)
-	copy(corners, hull)
-	return Hull{Corners: corners}
+	return Hull{Corners: append(dst, hull[:len(hull)-1]...)}
 }
 
 // hullScratch is ConvexHull's working memory: the (x, y)-ordered copy of

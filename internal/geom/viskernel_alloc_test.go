@@ -64,7 +64,8 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestConvexHullAllocs: with its pooled scratch warm, ConvexHull of a
-// local-hull-sized input allocates only the returned corners.
+// local-hull-sized input allocates only the returned corners, and
+// ConvexHullInto with a warm corner buffer allocates nothing.
 func TestConvexHullAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -78,4 +79,6 @@ func TestConvexHullAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { geom.ConvexHull(pts) }); allocs > 1 {
 		t.Fatalf("warm ConvexHull of %d points allocates %.1f times per call, want ≤ 1", len(pts), allocs)
 	}
+	dst := geom.ConvexHullInto(nil, pts).Corners
+	assertZeroAllocs(t, "warm ConvexHullInto", func() { dst = geom.ConvexHullInto(dst, pts).Corners })
 }

@@ -341,13 +341,52 @@ func classifyBlocking(p *Package, closed map[types.Object][]chanSite, frame ast.
 // ---------------------------------------------------------------------
 // Lock-acquisition-order facts (lockorder).
 
-// lockKeyOf derives a stable, type-level identity for the operand of a
-// Lock/RLock/Unlock call: "pkgpath.Type.field" for a mutex field,
-// "pkgpath.var" for a package-level mutex, and "" when the mutex
-// cannot be named across frames (locals, map entries, dynamic
+// lockKeyOf derives a stable, type-level identity for the mutex a
+// Lock/RLock/Unlock call sel acts on: "pkgpath.Type.field" for a mutex
+// field, "pkgpath.var" for a package-level mutex, the promoted field
+// ("pkgpath.Type.Mutex") for a mutex embedded in the operand's struct
+// (`c.Lock()` on a local or parameter c), and "" when the mutex cannot
+// be named across frames (a local mutex, map entries, dynamic
 // expressions) — lock order over unnamed instances is not a class this
 // analysis can adjudicate, so those acquisitions fail toward silence.
-func lockKeyOf(p *Package, operand ast.Expr) (key, disp string) {
+func lockKeyOf(p *Package, sel *ast.SelectorExpr) (key, disp string) {
+	if key, disp = operandKey(p, sel.X); key != "" {
+		return key, disp
+	}
+	return promotedKey(p, sel)
+}
+
+// promotedKey names the embedded mutex through which sel's method is
+// promoted: the last embedded field on the selection's path, keyed by
+// the struct type that declares it.
+func promotedKey(p *Package, sel *ast.SelectorExpr) (key, disp string) {
+	s, ok := p.Info.Selections[sel]
+	if !ok || len(s.Index()) < 2 {
+		return "", ""
+	}
+	t := s.Recv()
+	var owner *types.Named
+	var field *types.Var
+	for _, i := range s.Index()[:len(s.Index())-1] {
+		owner = namedOf(t)
+		if owner == nil {
+			return "", ""
+		}
+		st, ok := owner.Underlying().(*types.Struct)
+		if !ok {
+			return "", ""
+		}
+		field = st.Field(i)
+		t = field.Type()
+	}
+	obj := owner.Obj()
+	return obj.Pkg().Path() + "." + obj.Name() + "." + field.Name(),
+		obj.Pkg().Name() + "." + obj.Name() + "." + field.Name()
+}
+
+// operandKey is lockKeyOf for a mutex operand named by a package-level
+// variable or a struct field.
+func operandKey(p *Package, operand ast.Expr) (key, disp string) {
 	operand = ast.Unparen(operand)
 	switch e := operand.(type) {
 	case *ast.Ident:
@@ -451,7 +490,7 @@ func frameLocks(p *Package, frame ast.Node) []lockCall {
 		if !lock && !isSyncMethod(fn, "Unlock", "RUnlock") {
 			return true
 		}
-		key, disp := lockKeyOf(p, sel.X)
+		key, disp := lockKeyOf(p, sel)
 		c := lockCall{
 			pos: call.Pos(), mu: exprString(sel.X), key: key, disp: disp,
 			lock: lock, release: call.Pos(),

@@ -128,6 +128,23 @@ func (s *store) deferInDeferredLiteral() {
 	}()
 	s.ch <- s.n // want locksafe
 }
+
+// An embedded mutex locked through a parameter takes part in lock
+// order under its promoted field's name: counter before store here,
+// store before counter below.
+func (c *counter) bumpThenStore(s *store) {
+	c.Lock()
+	defer c.Unlock()
+	s.mu.Lock() // want lockorder
+	s.mu.Unlock()
+}
+
+func (s *store) storeThenBump(c *counter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.Lock()
+	c.Unlock()
+}
 `
 
 var wantAnalyzersRe = regexp.MustCompile(`// want ([a-z, ]+)$`)
@@ -178,6 +195,7 @@ func TestLockRegionRules(t *testing.T) {
 		85:  "(guarded by Mutex)",
 		97:  "acquires rt.table.mu while holding rt.table.rw,",
 		116: "while holding s.mu;",
+		125: "acquires rt.store.mu while holding rt.counter.Mutex,",
 	}
 	seen := map[int]bool{}
 	for _, f := range findings {

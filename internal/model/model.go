@@ -9,6 +9,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"luxvis/internal/geom"
 )
@@ -81,6 +82,47 @@ type RobotView struct {
 type Snapshot struct {
 	Self   RobotView
 	Others []RobotView
+	// World, when non-nil, memoizes geometry that depends only on the
+	// snapshot's point multiset, Self plus Others, and is shared with
+	// every other snapshot of the same multiset. It is an optimisation,
+	// not information: an algorithm reads it only through methods that
+	// answer exactly what they would answer for a nil World. It is nil
+	// for hand-built snapshots and for every Look that is not a full
+	// view (see World).
+	World *World
+}
+
+// World is a memo shared by the snapshots of one world position state.
+// The engine (internal/sim) attaches one to a Look that is a full view:
+// its row holds every other robot, so its points are exactly the
+// robots' positions, and sensor jitter is off, so none is perturbed.
+// Every full view taken between the same two moves therefore has the
+// same point multiset and shares one World. A move ends it; a light
+// change does not, because nothing a World memoizes depends on a color.
+// Partial views, jittered Looks and the goroutine runtime
+// (internal/rt) get a nil World, which computes from scratch.
+//
+// The zero value is ready to use. A World is immutable once built and
+// safe for concurrent use. It stays valid for as long as any snapshot
+// that holds it, also after the engine has moved on to a newer World.
+type World struct {
+	hullOnce sync.Once
+	hull     geom.Hull
+}
+
+// Hull returns the convex hull of pts, the points of a snapshot that
+// holds w. A nil World returns geom.ConvexHull(pts). A non-nil World
+// builds the hull once, from the first caller's pts, and returns that
+// same hull to every caller: ConvexHull depends only on the point
+// multiset (up to the sign of a zero coordinate; see there), so every
+// sharer reads the corners it would have built. The returned corners
+// are shared and must not be modified.
+func (w *World) Hull(pts []geom.Point) geom.Hull {
+	if w == nil {
+		return geom.ConvexHull(pts)
+	}
+	w.hullOnce.Do(func() { w.hull = geom.ConvexHull(pts) })
+	return w.hull
 }
 
 // Points returns the positions of all robots in the snapshot, self first.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"luxvis/internal/geom"
@@ -100,5 +101,26 @@ func TestActions(t *testing.T) {
 	}
 	if !mv.Target.Eq(geom.Pt(5, 5)) {
 		t.Errorf("MoveTo target = %v", mv.Target)
+	}
+}
+
+// TestWorldHull: a nil World computes ConvexHull; a shared World builds
+// the hull once and hands every later caller the same corners, whatever
+// order their points come in.
+func TestWorldHull(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4), geom.Pt(2, 2)}
+	want := geom.ConvexHull(pts).Corners
+	var none *World
+	if got := none.Hull(pts).Corners; !slices.Equal(got, want) {
+		t.Fatalf("nil World hull %v, want %v", got, want)
+	}
+	w := new(World)
+	first := w.Hull(pts).Corners
+	if !slices.Equal(first, want) {
+		t.Fatalf("World hull %v, want %v", first, want)
+	}
+	reordered := []geom.Point{pts[4], pts[2], pts[0], pts[3], pts[1]}
+	if again := w.Hull(reordered).Corners; &again[0] != &first[0] {
+		t.Fatal("a second caller of one World got a rebuilt hull")
 	}
 }

@@ -368,6 +368,11 @@ type engine struct {
 	// Look event and joined at the Compute event (see pipeline.go); nil
 	// looks and computes inline.
 	pool *computePool
+	// world is the memo of the current position state, which Look
+	// attaches to full views (see model.World). doMoveStep, the one
+	// place a position changes, drops it, and the next Look starts a
+	// new one.
+	world *model.World
 }
 
 // Run executes algo from the start configuration under opt and returns
@@ -562,8 +567,11 @@ func (e *engine) advance(r int) {
 // hands the pool a copy of the world, from which a worker builds the
 // snapshot.
 func (e *engine) doLook(r int) {
+	if e.world == nil {
+		e.world = new(model.World)
+	}
 	if e.pool != nil {
-		e.pool.submit(r, e.st[r].Cycles, e.pos, e.col)
+		e.pool.submit(r, e.st[r].Cycles, e.pos, e.col, e.world)
 	} else {
 		e.look(r)
 	}
@@ -586,7 +594,7 @@ func (e *engine) look(r int) {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
-	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, vis, e.pos, e.col, e.jitter)
+	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, vis, e.pos, e.col, e.jitter, e.world)
 }
 
 // Look assembles robot r's snapshot of the world pos and col: Self is r,
@@ -597,19 +605,27 @@ func (e *engine) look(r int) {
 // which the caller must no longer read. Every Look the engine, its
 // compute workers and the goroutine runtime (internal/rt) take goes
 // through here.
-func Look(others []model.RobotView, r, look int, row []int, pos []geom.Point, col []model.Color, jitter Jitter) model.Snapshot {
+//
+// w is the memo of the position state pos (nil for none). Look attaches
+// it only to a full view, one whose row holds every other robot and
+// whose positions carry no jitter, so every snapshot that shares w has
+// the point multiset pos (see model.World).
+func Look(others []model.RobotView, r, look int, row []int, pos []geom.Point, col []model.Color, jitter Jitter, w *model.World) model.Snapshot {
 	others = others[:0]
 	for _, j := range row {
 		others = append(others, model.RobotView{Pos: pos[j], Color: col[j]})
 	}
+	s := model.Snapshot{Self: model.RobotView{Pos: pos[r], Color: col[r]}, Others: others}
 	if jitter.Amp > 0 {
 		key := jitter.lookKey(r, look)
 		for k := range others {
 			others[k].Pos.X += jitter.offset(key, k, 0)
 			others[k].Pos.Y += jitter.offset(key, k, 1)
 		}
+	} else if len(row) == len(pos)-1 {
+		s.World = w
 	}
-	return model.Snapshot{Self: model.RobotView{Pos: pos[r], Color: col[r]}, Others: others}
+	return s
 }
 
 // doCompute runs the algorithm on robot r's held snapshot (or joins the
@@ -681,6 +697,7 @@ func (e *engine) doMoveStep(r int) {
 	}
 	p.lastStep = e.now
 	e.pos[r] = next
+	e.world = nil
 	e.vsnap.Update(r, next)
 	if e.idx != nil {
 		e.idx.Move(r, next)

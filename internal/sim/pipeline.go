@@ -24,7 +24,11 @@ import (
 // the Compute event does with the action (target and palette checks,
 // light publish, move arming) stay on the Run goroutine in event order.
 // The worker applies sensor jitter too, a function of the Look alone
-// (see Jitter). Other runs look and compute inline. RunCtx decides
+// (see Jitter). The job also carries the memo of the position state it
+// was submitted in, which the worker's Look attaches to a full view
+// exactly as an inline Look does (see Look and model.World): every full
+// view between two moves shares one convex hull, whichever worker
+// builds it first. Other runs look and compute inline. RunCtx decides
 // which: a run with an Observer (see there) never pipelines, and
 // newComputePool decides the rest from the swarm size, GOMAXPROCS and
 // the number of runs in flight in the process.
@@ -79,10 +83,12 @@ type world struct {
 var worlds = sync.Pool{New: func() any { return new(world) }}
 
 // computeJob is one robot's Look awaiting its row and Compute; look is
-// the robot's Look index (see Look).
+// the robot's Look index and shared the memo of its position state (see
+// Look).
 type computeJob struct {
 	robot, look int
 	world       *world
+	shared      *model.World
 }
 
 // computeResult is a finished Compute: the action, or the non-nil
@@ -136,12 +142,12 @@ func newComputePool(algo model.Algorithm, n int, inFlight int64, jitter Jitter) 
 }
 
 // submit starts robot r's look-th Look and its Compute on a copy of pos
-// and col.
-func (p *computePool) submit(r, look int, pos []geom.Point, col []model.Color) {
+// and col, whose position state's memo is shared.
+func (p *computePool) submit(r, look int, pos []geom.Point, col []model.Color, shared *model.World) {
 	w := worlds.Get().(*world)
 	w.pos = append(w.pos[:0], pos...)
 	w.col = append(w.col[:0], col...)
-	p.jobs <- computeJob{robot: r, look: look, world: w}
+	p.jobs <- computeJob{robot: r, look: look, world: w, shared: shared}
 }
 
 // wait returns robot r's action, blocking until its Compute finishes.
@@ -193,7 +199,7 @@ func (p *computePool) worker() {
 // Others aliases the looker's buffer and is valid until the next look.
 func (l *looker) look(j computeJob, jitter Jitter) model.Snapshot {
 	l.vis.Reset(j.world.pos)
-	s := Look(l.others, j.robot, j.look, l.vis.Row(j.robot), j.world.pos, j.world.col, jitter)
+	s := Look(l.others, j.robot, j.look, l.vis.Row(j.robot), j.world.pos, j.world.col, jitter, j.shared)
 	l.others = s.Others
 	return s
 }
