@@ -16,9 +16,10 @@ test:
 	$(GO) test -cpu 1,4 -count=1 -run '^TestResultDigests$$' ./internal/core
 
 ## allocs: the zero-allocation guards, verbose, mirroring CI's step:
-## the visibility kernel's steady state, a warm convex hull (and a warm
-## ConvexHullInto), and a warm LogVis Compute on a full view whose
-## shared hull is built, for a corner and an interior robot.
+## the visibility kernel's steady state (ClearAround included), a warm
+## convex hull (and a warm ConvexHullInto), and a warm LogVis Compute
+## on a full view whose shared hull is built, for a corner and an
+## interior robot.
 allocs:
 	$(GO) test ./internal/geom ./internal/core -run '^(TestKernelZeroAllocSteadyState|TestConvexHullAllocs|TestLogVisComputeAllocs)$$' -count=1 -v
 
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentCross$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSnapshotUpdate$$' -fuzztime 15s
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime 15s
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzClearAround$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSlotUsable$$' -fuzztime 15s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 15s
 	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzOrientFilter$$' -fuzztime 15s

@@ -113,7 +113,7 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 		pts = append(pts, o.Pos)
 	}
 	sc.pts = pts
-	if geom.AllCollinear(pts) {
+	if s.World.AllCollinear(pts) {
 		return a.computeOnLine(s, pts)
 	}
 

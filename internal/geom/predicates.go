@@ -111,19 +111,35 @@ func OnSegment(a, b, m Point) bool {
 }
 
 // AllCollinear reports whether every point in pts lies on a single line.
-// Sets of fewer than three points are trivially collinear.
+// Sets of fewer than three points are trivially collinear. For finite
+// points the answer depends only on the point multiset, not on its
+// order: the base line runs from the least point under Less to the
+// point farthest from it (the least such under Less on a tie), so every
+// permutation tests the same line from the same anchor. Ties under Less
+// are points with == coordinates, which make the same tests. That is
+// what lets snapshots of one position state share the answer (see
+// model.World).
 func AllCollinear(pts []Point) bool {
 	if len(pts) < 3 {
 		return true
 	}
-	// Pick the two most distant of the first few points as the base to
-	// keep the predicate stable when the first two points are very close.
-	a, b := pts[0], pts[1]
-	for _, p := range pts[2:] {
-		if p.Dist2(a) > b.Dist2(a) {
-			b = p
+	ai := 0
+	for i, p := range pts {
+		if p.Less(pts[ai]) {
+			ai = i
 		}
 	}
+	a := pts[ai]
+	bi, bd := -1, 0.0
+	for i, p := range pts {
+		if i == ai {
+			continue
+		}
+		if d := p.Dist2(a); bi < 0 || d > bd || d == bd && p.Less(pts[bi]) {
+			bi, bd = i, d
+		}
+	}
+	b := pts[bi]
 	for _, p := range pts {
 		if !AreCollinear(a, b, p) {
 			return false

@@ -118,6 +118,37 @@ func TestAllCollinear(t *testing.T) {
 	}
 }
 
+// TestAllCollinearOrderFree: points near a line, inside and around
+// Orient's tolerance band, get one answer in every order, and both
+// answers occur.
+func TestAllCollinearOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var answers [2]int
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(8)
+		pts := make([]Point, n)
+		for i := range pts {
+			x := rng.Float64() * 100
+			pts[i] = Pt(x, 0.5*x+(rng.Float64()-0.5)*Eps*math.Ldexp(1, rng.Intn(12)))
+		}
+		want := AllCollinear(pts)
+		if want {
+			answers[1]++
+		} else {
+			answers[0]++
+		}
+		for k := 0; k < 6; k++ {
+			rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+			if got := AllCollinear(pts); got != want {
+				t.Fatalf("AllCollinear(%v) = %v, another order gives %v", pts, got, want)
+			}
+		}
+	}
+	if answers[0] == 0 || answers[1] == 0 {
+		t.Fatalf("answers false/true %v: the band was missed", answers)
+	}
+}
+
 func TestLineExtremes(t *testing.T) {
 	pts := []Point{Pt(3, 3), Pt(1, 1), Pt(5, 5), Pt(2, 2)}
 	lo, hi := LineExtremes(pts)

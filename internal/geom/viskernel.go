@@ -12,9 +12,10 @@ import (
 // in one parallel pass, an incrementally-maintained Snapshot that reuses
 // rows across single-robot moves (the common ASYNC case), and the float
 // Complete Visibility check (fanned out across workers on a multi-worker
-// kernel, serial on a 1-worker one). Snapshot.Row serves every Look of
-// the engine and the concurrent runtime. All row computation funnels
-// through rowArena.visibleRow, so kernel results are identical — not just
+// kernel, serial on a 1-worker one). Snapshot.Row serves the inline
+// Looks of the engine and the concurrent runtime, Kernel.VisibleRow the
+// engine's pipelined ones. All row computation funnels through
+// rowArena.visibleRow, so kernel results are identical — not just
 // equivalent — to VisibleSetFast.
 
 const (
@@ -46,6 +47,9 @@ type kernelArena struct {
 	cvEmit func(x, y int, confirmable bool) bool
 	cvObs  int
 	cvPts  []Point
+	// clearEmit is ClearAround's persistent callback, reading the same
+	// cvObs and cvPts.
+	clearEmit func(x, y int, confirmable bool) bool
 }
 
 // kernelJob is one batch dispatched to every worker: a snapshot row fill
@@ -211,6 +215,50 @@ func (k *Kernel) CompleteVisibilityFast(pts []Point) bool {
 	}
 	k.dispatch(kernelJob{pts: pts})
 	return !k.cvFound.Load()
+}
+
+// VisibleRow returns the visible set of pts[r], VisibleSetFast(pts, r)
+// byte for byte, built in dst's storage (truncated and appended to). It
+// serves a caller that needs one row of a configuration it will not see
+// again: a Snapshot keeps a buffer per robot and copies the positions
+// in, VisibleRow neither. A warm call allocates nothing once dst has
+// room. It runs on the caller's goroutine, in the kernel's first arena.
+func (k *Kernel) VisibleRow(dst []int, pts []Point, r int) []int {
+	return k.arenas[0].row.visibleRow(pts, r, dst)
+}
+
+// ClearAround reports whether point m takes part in no collinear triple
+// under any anchor, so that moving m alone cannot have broken Complete
+// Visibility. It holds when no other point Eq-coincides with pts[m] and
+// every pair (a, b) that m's folded-direction scan emits fails
+// AreCollinear under all three anchors: (m, a, b), (a, m, b) and
+// (b, m, a). Orient's float answer depends on the anchor, and a
+// visibility row from observer r tests a triple with r as the anchor,
+// so confirming from m alone is not enough. A pair the scan does not
+// emit is farther apart in direction from m than the acceptance angle
+// of any of the three anchors (DESIGN.md, "Known complete
+// visibility"); when m's fold tolerance is undefined the scan emits
+// every pair, and every triple through m is confirmed directly. It runs
+// on the caller's goroutine in O(n log n), O(n²) for that degenerate
+// case, and allocates nothing once warm.
+func (k *Kernel) ClearAround(pts []Point, m int) bool {
+	for j, p := range pts {
+		if j != m && p.Eq(pts[m]) {
+			return false
+		}
+	}
+	a := &k.arenas[0]
+	if a.clearEmit == nil {
+		a.clearEmit = func(x, y int, confirmable bool) bool {
+			o, p, q := a.cvPts[a.cvObs], a.cvPts[x], a.cvPts[y]
+			return !confirmable || AreCollinear(o, p, q) || AreCollinear(p, o, q) || AreCollinear(q, o, p)
+		}
+	}
+	a.cvPts, a.cvObs = pts, m
+	var stop bool
+	a.dirs, stop = collinearObserver(pts, m, 0, a.dirs, a.clearEmit)
+	a.cvPts = nil
+	return !stop
 }
 
 // pendingMove is one logged position change since the snapshot barrier.

@@ -2,9 +2,10 @@ package geom_test
 
 // The zero-allocation guard for the kernel's steady state: once the
 // arenas and row buffers are warm, neither the batched pass (serial or
-// parallel) nor the incremental Update/Row path may allocate. CI runs
-// this as part of the ordinary test job, so an allocation sneaking into
-// the hot path fails the build, not just a benchmark report.
+// parallel), the incremental Update/Row path, a one-off VisibleRow, the
+// CV check nor ClearAround may allocate. CI runs this as part of the ordinary test
+// job, so an allocation sneaking into the hot path fails the build, not
+// just a benchmark report.
 
 import (
 	"math/rand"
@@ -59,6 +60,16 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		})
 		assertZeroAllocs(t, "Kernel.CompleteVisibilityFast", func() {
 			_ = kern.CompleteVisibilityFast(pts)
+		})
+		row := kern.VisibleRow(nil, pts, n/2)
+		assertZeroAllocs(t, "Kernel.VisibleRow", func() {
+			row = kern.VisibleRow(row, pts, n/2)
+		})
+		_ = kern.ClearAround(pts, n/2)
+		assertZeroAllocs(t, "Kernel.ClearAround", func() {
+			if !kern.ClearAround(pts, n/2) {
+				t.Fatal("ClearAround of a uniform set fails")
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package geom_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,7 +48,7 @@ func checkAllRows(t *testing.T, snap *geom.Snapshot, cur []geom.Point, ctxt stri
 }
 
 // TestSnapshotComputeAllParity checks the batched path, serial and
-// parallel, against per-Look VisibleSetFast.
+// parallel, and Kernel.VisibleRow against per-Look VisibleSetFast.
 func TestSnapshotComputeAllParity(t *testing.T) {
 	kern := geom.NewKernel(4)
 	defer kern.Close()
@@ -59,6 +60,13 @@ func TestSnapshotComputeAllParity(t *testing.T) {
 			snap.Reset(pts)
 			snap.ComputeAll()
 			checkAllRows(t, snap, pts, "after ComputeAll")
+			var row []int
+			for r := range pts {
+				row = kern.VisibleRow(row, pts, r)
+				if want := geom.VisibleSetFast(pts, r); !slices.Equal(row, want) {
+					t.Fatalf("Kernel.VisibleRow(%d) = %v, VisibleSetFast = %v (pts=%v)", r, row, want, pts)
+				}
+			}
 		}
 	}
 }
@@ -212,4 +220,49 @@ func TestKernelCloseIdempotent(t *testing.T) {
 	snap.ComputeAll() // starts the pool
 	k2.Close()
 	k2.Close()
+}
+
+// TestClearAround: ClearAround clears a point of a uniform set, also one
+// so close to a neighbour that its fold tolerance is undefined, and
+// refuses a point coincident with another, one on the line through two
+// others, and one that only the other two anchors find collinear.
+func TestClearAround(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	base := make([]geom.Point, 40)
+	for i := range base {
+		base[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	}
+	a, b := base[1], base[2]
+	d := b.Sub(a)
+	nrm := geom.Pt(-d.Y, d.X).Mul(1 / d.Norm())
+	l1 := math.Abs(d.X) + math.Abs(d.Y)
+	cases := []struct {
+		name  string
+		at    geom.Point
+		clear bool
+	}{
+		{"uniform", base[0], true},
+		{"next to a neighbour", base[3].Add(geom.Pt(3e-3, 4e-3)), true},
+		{"coincident", base[3].Add(geom.Pt(geom.Eps/2, 0)), false},
+		{"on a line", a.Lerp(b, 0.25), false},
+		// The doubled area 0.75·Eps·|b-a|₁ is inside the band Orient
+		// allows anchored at a or b, outside the one anchored at the
+		// midpoint (about half as wide).
+		{"in the band of two anchors", a.Lerp(b, 0.5).Add(nrm.Mul(0.75 * geom.Eps * l1 / d.Norm())), false},
+	}
+	kern := geom.NewKernel(1)
+	defer kern.Close()
+	for _, c := range cases {
+		pts := slices.Clone(base)
+		pts[0] = c.at
+		if got := kern.ClearAround(pts, 0); got != c.clear {
+			t.Errorf("%s: ClearAround = %v, want %v", c.name, got, c.clear)
+		}
+		if c.clear && !kern.CompleteVisibilityFast(pts) {
+			t.Errorf("%s: cleared, but CompleteVisibilityFast fails", c.name)
+		}
+	}
+	if geom.AreCollinear(cases[4].at, a, b) {
+		t.Error("the band case is collinear anchored at the moved point: it tests nothing")
+	}
 }

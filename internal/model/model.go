@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"luxvis/internal/geom"
 )
@@ -107,8 +108,18 @@ type Snapshot struct {
 // that holds it, also after the engine has moved on to a newer World.
 type World struct {
 	hullOnce sync.Once
-	hull     geom.Hull
+	// collinear is the AllCollinear answer: 0 until decided, then
+	// collinearNo or collinearYes. Racing first callers compute the same
+	// answer and store the same value, so it needs no Once (and fits
+	// the padding after hullOnce, keeping a World in its size class).
+	collinear atomic.Int32
+	hull      geom.Hull
 }
+
+const (
+	collinearNo int32 = 1 + iota
+	collinearYes
+)
 
 // Hull returns the convex hull of pts, the points of a snapshot that
 // holds w. A nil World returns geom.ConvexHull(pts). A non-nil World
@@ -123,6 +134,27 @@ func (w *World) Hull(pts []geom.Point) geom.Hull {
 	}
 	w.hullOnce.Do(func() { w.hull = geom.ConvexHull(pts) })
 	return w.hull
+}
+
+// AllCollinear reports whether pts, the points of a snapshot that holds
+// w, lie on one line. A nil World returns geom.AllCollinear(pts). A
+// non-nil World decides from its first callers' pts and returns that
+// answer to every later caller: AllCollinear depends only on the point
+// multiset (see there), so every sharer reads the answer it would have
+// computed.
+func (w *World) AllCollinear(pts []geom.Point) bool {
+	if w == nil {
+		return geom.AllCollinear(pts)
+	}
+	if v := w.collinear.Load(); v != 0 {
+		return v == collinearYes
+	}
+	c, v := geom.AllCollinear(pts), collinearNo
+	if c {
+		v = collinearYes
+	}
+	w.collinear.Store(v)
+	return c
 }
 
 // Points returns the positions of all robots in the snapshot, self first.

@@ -104,9 +104,9 @@ func TestActions(t *testing.T) {
 	}
 }
 
-// TestWorldHull: a nil World computes ConvexHull; a shared World builds
-// the hull once and hands every later caller the same corners, whatever
-// order their points come in.
+// TestWorldHull: a nil World computes ConvexHull and AllCollinear; a
+// shared World builds each once and hands every later caller the same
+// corners and the same answer, whatever order their points come in.
 func TestWorldHull(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4), geom.Pt(2, 2)}
 	want := geom.ConvexHull(pts).Corners
@@ -122,5 +122,22 @@ func TestWorldHull(t *testing.T) {
 	reordered := []geom.Point{pts[4], pts[2], pts[0], pts[3], pts[1]}
 	if again := w.Hull(reordered).Corners; &again[0] != &first[0] {
 		t.Fatal("a second caller of one World got a rebuilt hull")
+	}
+
+	line := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(3, 3)}
+	if !none.AllCollinear(line) || none.AllCollinear(pts) {
+		t.Fatal("nil World AllCollinear disagrees with geom.AllCollinear")
+	}
+	if w.AllCollinear(reordered) || w.AllCollinear(pts) {
+		t.Fatal("World AllCollinear of a square with its center, want false")
+	}
+	// The answer is memoized: a later caller reads it even for points
+	// that would answer differently, which a sharer never passes.
+	if w.AllCollinear(line) {
+		t.Fatal("a second caller of one World got a recomputed AllCollinear")
+	}
+	wl := new(World)
+	if !wl.AllCollinear(line) || !wl.AllCollinear(pts) {
+		t.Fatal("World AllCollinear of a line, want true for every later caller")
 	}
 }

@@ -302,7 +302,7 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 		// locksafe-clean under the world lock.
 		w.mu.Lock()
 		lookSeq := w.changeSeq
-		snap := sim.Look(others, id, myCycles, w.vis.Row(id), w.pos, w.col, jitter, nil)
+		snap := sim.Look(others, id, myCycles, w.vis.Row(id), false, w.pos, w.col, jitter, nil)
 		w.mu.Unlock()
 		others = snap.Others
 

@@ -49,7 +49,7 @@ func TestWorldLookTracksMoves(t *testing.T) {
 				t.Fatalf("move %d: changeSeq %d -> %d, want one bump", move, seq, w.changeSeq)
 			}
 			for r := 0; r < n; r++ {
-				snap := sim.Look(nil, r, 0, w.vis.Row(r), w.pos, w.col, sim.Jitter{}, nil)
+				snap := sim.Look(nil, r, 0, w.vis.Row(r), false, w.pos, w.col, sim.Jitter{}, nil)
 				want := geom.VisibleFrom(w.pos, r)
 				if snap.Self.Pos != w.pos[r] || len(snap.Others) != len(want) {
 					t.Fatalf("move %d step %d robot %d: Look sees %d robots from %v, oracle %v from %v",

@@ -42,9 +42,11 @@ func (e *engine) quiescent() bool {
 }
 
 // cvNow evaluates Complete Visibility on the current world, cached per
-// world version so the O(n² log n) check runs at most once per change.
-// The kernel fans the per-observer scan across workers on multi-core
-// hosts; its verdict does not depend on the worker count.
+// world version so the O(n² log n) check runs at most once per change,
+// and skipped while the world is known to be completely visible (see
+// knownCV); a skipped check still counts in CVChecks. The kernel fans
+// the per-observer scan across workers on multi-core hosts; its verdict
+// does not depend on the worker count.
 func (e *engine) cvNow() bool {
 	if e.cvCacheAt != e.lastChange {
 		e.cvCacheAt = e.lastChange
@@ -54,12 +56,17 @@ func (e *engine) cvNow() bool {
 			//lint:allow detsource observer-gated timing counter; never influences control flow
 			t0 = time.Now()
 		}
-		if e.numCrashed > 0 {
+		switch {
+		case e.knownCV():
+			// Full Complete Visibility implies survivor-CV too.
+			e.cvCacheVal = true
+		case e.numCrashed > 0:
 			// Crash runs terminate on survivor-CV: every surviving pair
 			// mutually visible, crashed robots still obstructing.
 			e.cvCacheVal = e.survivorCV()
-		} else {
+		default:
 			e.cvCacheVal = e.vk.CompleteVisibilityFast(e.pos)
+			e.cvKnown = e.cvCacheVal
 		}
 		if e.obs != nil {
 			//lint:allow detsource observer-gated timing counter; never influences control flow

@@ -238,12 +238,15 @@ type Result struct {
 //
 // The row counters are diagnostics of the engine's own incremental
 // snapshot, which serves inline Looks and the survivor Complete
-// Visibility reads of crash runs. A pipelined run (see pipeline.go)
-// builds its Looks' rows on the compute workers and counts none of
-// them, and whether a run pipelines depends on GOMAXPROCS and on the
-// runs in flight, not on the run's inputs. So two runs of the same
-// inputs may report different row counters; every other field of the
-// Result is the same, sensor jitter included.
+// Visibility reads of crash runs. They count only the rows that
+// snapshot computed or revalidated: a Look taken while the world is
+// known to be completely visible sees every other robot without a row
+// and counts none. A pipelined run (see pipeline.go) builds its Looks'
+// rows on the compute workers and counts none of them either, and
+// whether a run pipelines depends on GOMAXPROCS and on the runs in
+// flight, not on the run's inputs. So two runs of the same inputs may
+// report different row counters; every other field of the Result is
+// the same, sensor jitter included.
 type KernelStats struct {
 	// RowsComputed counts visibility rows computed from scratch.
 	RowsComputed int64
@@ -252,7 +255,8 @@ type KernelStats struct {
 	// from it, so the cached row is provably still exact.
 	RowsReused int64
 	// CVChecks counts Complete Visibility evaluations (cache misses of
-	// the per-world-version CV cache).
+	// the per-world-version CV cache), also those answered without a
+	// scan because the world is known to be completely visible.
 	CVChecks int64
 	// LookNanos and CVNanos are the wall time spent in snapshot rows
 	// and CV checks (zero without an Observer).
@@ -373,6 +377,19 @@ type engine struct {
 	// place a position changes, drops it, and the next Look starts a
 	// new one.
 	world *model.World
+	// cvKnown records that the current positions are known to be
+	// completely visible, with every triple non-collinear under all
+	// three anchors (see DESIGN.md, "Known complete visibility"): every
+	// Look's row is then all the other robots, and cvNow answers true
+	// without a scan. cvNow sets it when its full check finds Complete
+	// Visibility. While it holds, doMoveStep marks each robot that moves
+	// in unchecked and counts it once in numUnchecked, and knownCV checks
+	// each marked robot at its current position before the next Look or
+	// cvNow relies on the flag; a failed check clears it until a full
+	// check sets it again.
+	cvKnown      bool
+	unchecked    []bool
+	numUnchecked int
 }
 
 // Run executes algo from the start configuration under opt and returns
@@ -455,6 +472,7 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 		epochBase:     make([]int, n),
 		cvCacheAt:     -1,
 		robotDist:     make([]float64, n),
+		unchecked:     make([]bool, n),
 		jitter:        Jitter{Seed: opt.Seed, Amp: opt.SensorJitter},
 	}
 	if len(opt.Crashes) > 0 {
@@ -571,7 +589,7 @@ func (e *engine) doLook(r int) {
 		e.world = new(model.World)
 	}
 	if e.pool != nil {
-		e.pool.submit(r, e.st[r].Cycles, e.pos, e.col, e.world)
+		e.pool.submit(r, e.st[r].Cycles, e.pos, e.col, e.knownCV(), e.world)
 	} else {
 		e.look(r)
 	}
@@ -580,40 +598,74 @@ func (e *engine) doLook(r int) {
 	e.trace(r, "look")
 }
 
-// look reads robot r's row from the incremental snapshot and builds its
-// snapshot in the backing array of r's previous Others, which no Compute
-// still reads: r's last Compute returned before its Compute event.
+// look builds robot r's snapshot in the backing array of r's previous
+// Others, which no Compute still reads: r's last Compute returned before
+// its Compute event. While the world is known to be completely visible r
+// sees every other robot; otherwise its row comes from the incremental
+// snapshot.
 func (e *engine) look(r int) {
 	var t0 time.Time
 	if e.obs != nil {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		t0 = time.Now()
 	}
-	vis := e.vsnap.Row(r)
+	all := e.knownCV()
+	var row []int
+	if !all {
+		row = e.vsnap.Row(r)
+	}
 	if e.obs != nil {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
-	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, vis, e.pos, e.col, e.jitter, e.world)
+	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, row, all, e.pos, e.col, e.jitter, e.world)
+}
+
+// knownCV reports whether the current positions are known to be
+// completely visible. It first checks each robot that moved since the
+// last call with Kernel.ClearAround, at its current position, and
+// forgets the knowledge at the first robot that fails.
+func (e *engine) knownCV() bool {
+	if e.numUnchecked > 0 {
+		for m, u := range e.unchecked {
+			if u {
+				e.unchecked[m] = false
+				e.cvKnown = e.cvKnown && e.vk.ClearAround(e.pos, m)
+			}
+		}
+		e.numUnchecked = 0
+	}
+	return e.cvKnown
 }
 
 // Look assembles robot r's snapshot of the world pos and col: Self is r,
 // exact, and Others maps r's visibility row (indices into pos) to views,
-// in row order, with jitter applied to each position. look is
-// r's Look index, the cycles it had completed at the Look, which keys
-// the jitter. Others is built in the backing array of others,
-// which the caller must no longer read. Every Look the engine, its
-// compute workers and the goroutine runtime (internal/rt) take goes
+// in row order, with jitter applied to each position. all reports that r
+// sees every other robot, as it does while the world is known to be
+// completely visible; Others then lists every robot but r in index
+// order, which is the row VisibleSetFast returns there, and row is not
+// read. look is r's Look index, the cycles it had completed at the
+// Look, which keys the jitter. Others is built in the backing array of
+// others, which the caller must no longer read. Every Look the engine,
+// its compute workers and the goroutine runtime (internal/rt) take goes
 // through here.
 //
 // w is the memo of the position state pos (nil for none). Look attaches
-// it only to a full view, one whose row holds every other robot and
-// whose positions carry no jitter, so every snapshot that shares w has
-// the point multiset pos (see model.World).
-func Look(others []model.RobotView, r, look int, row []int, pos []geom.Point, col []model.Color, jitter Jitter, w *model.World) model.Snapshot {
+// it only to a full view, one that holds every other robot and whose
+// positions carry no jitter, so every snapshot that shares w has the
+// point multiset pos (see model.World).
+func Look(others []model.RobotView, r, look int, row []int, all bool, pos []geom.Point, col []model.Color, jitter Jitter, w *model.World) model.Snapshot {
 	others = others[:0]
-	for _, j := range row {
-		others = append(others, model.RobotView{Pos: pos[j], Color: col[j]})
+	if all {
+		for j := range pos {
+			if j != r {
+				others = append(others, model.RobotView{Pos: pos[j], Color: col[j]})
+			}
+		}
+	} else {
+		for _, j := range row {
+			others = append(others, model.RobotView{Pos: pos[j], Color: col[j]})
+		}
 	}
 	s := model.Snapshot{Self: model.RobotView{Pos: pos[r], Color: col[r]}, Others: others}
 	if jitter.Amp > 0 {
@@ -622,7 +674,7 @@ func Look(others []model.RobotView, r, look int, row []int, pos []geom.Point, co
 			others[k].Pos.X += jitter.offset(key, k, 0)
 			others[k].Pos.Y += jitter.offset(key, k, 1)
 		}
-	} else if len(row) == len(pos)-1 {
+	} else if len(others) == len(pos)-1 {
 		s.World = w
 	}
 	return s
@@ -698,6 +750,10 @@ func (e *engine) doMoveStep(r int) {
 	p.lastStep = e.now
 	e.pos[r] = next
 	e.world = nil
+	if e.cvKnown && !e.unchecked[r] {
+		e.unchecked[r] = true
+		e.numUnchecked++
+	}
 	e.vsnap.Update(r, next)
 	if e.idx != nil {
 		e.idx.Move(r, next)

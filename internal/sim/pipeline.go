@@ -24,14 +24,17 @@ import (
 // the Compute event does with the action (target and palette checks,
 // light publish, move arming) stay on the Run goroutine in event order.
 // The worker applies sensor jitter too, a function of the Look alone
-// (see Jitter). The job also carries the memo of the position state it
-// was submitted in, which the worker's Look attaches to a full view
-// exactly as an inline Look does (see Look and model.World): every full
-// view between two moves shares one convex hull, whichever worker
-// builds it first. Other runs look and compute inline. RunCtx decides
-// which: a run with an Observer (see there) never pipelines, and
-// newComputePool decides the rest from the swarm size, GOMAXPROCS and
-// the number of runs in flight in the process.
+// (see Jitter). While the engine knows the world to be completely
+// visible, a job says that its robot sees every other robot, and the
+// worker builds the snapshot without a visibility row (see knownCV).
+// The job also carries the memo of the position state it was submitted
+// in, which the worker's Look attaches to a full view exactly as an
+// inline Look does (see Look and model.World): every full view between
+// two moves shares one convex hull and one collinearity answer,
+// whichever worker computes them first. Other runs look and compute
+// inline. RunCtx decides which: a run with an Observer (see there)
+// never pipelines, and newComputePool decides the rest from the swarm
+// size, GOMAXPROCS and the number of runs in flight in the process.
 
 // pipelineMinRobots is the smallest swarm whose run pipelines. Below it
 // a Compute costs about as much as handing it to a worker and waking
@@ -70,12 +73,15 @@ type computePool struct {
 	wg      sync.WaitGroup
 }
 
-// world is one Look's copy of the robots' positions and lights. submit
-// fills it from the engine before queueing the job, and the worker
-// returns it to worlds once the Look's row and Others are built.
+// world is one Look's copy of the robots' positions and lights, and
+// whether those positions are known to be completely visible, so that
+// every robot sees all the others. submit fills it from the engine
+// before queueing the job, and the worker returns it to worlds once the
+// Look's row and Others are built.
 type world struct {
 	pos []geom.Point
 	col []model.Color
+	all bool
 }
 
 // worlds recycles world copies across Looks and runs, so a steady-state
@@ -100,19 +106,20 @@ type computeResult struct {
 	stack    []byte
 }
 
-// looker is one worker's Look state: a visibility snapshot and the
-// buffer it builds each snapshot's Others into. Lookers outlive their
-// runs in lookers, so a worker's row and Others buffers are allocated
-// once per process, not once per run.
+// looker is one worker's Look state: a visibility kernel, and the
+// buffers it builds each Look's row and Others into. Lookers outlive
+// their runs in lookers, so a worker's buffers are allocated once per
+// process, not once per run.
 type looker struct {
-	vis    *geom.Snapshot
+	vis    *geom.Kernel
+	row    []int
 	others []model.RobotView
 }
 
-// lookers holds idle lookers. Each snapshot's kernel has one worker,
-// which computes on the caller's goroutine and never starts a pool, so
-// a looker holds no resources beyond its memory and needs no Close.
-var lookers = sync.Pool{New: func() any { return &looker{vis: geom.NewKernel(1).NewSnapshot()} }}
+// lookers holds idle lookers. Each looker's kernel has one worker, which
+// computes on the caller's goroutine and never starts a pool, so a
+// looker holds no resources beyond its memory and needs no Close.
+var lookers = sync.Pool{New: func() any { return &looker{vis: geom.NewKernel(1)} }}
 
 // newComputePool returns a running pool for a swarm of n robots whose
 // Looks observe with jitter, or nil when the run should look and compute
@@ -142,11 +149,13 @@ func newComputePool(algo model.Algorithm, n int, inFlight int64, jitter Jitter) 
 }
 
 // submit starts robot r's look-th Look and its Compute on a copy of pos
-// and col, whose position state's memo is shared.
-func (p *computePool) submit(r, look int, pos []geom.Point, col []model.Color, shared *model.World) {
+// and col, whose position state's memo is shared; all reports that r
+// sees every other robot, so the worker builds no row.
+func (p *computePool) submit(r, look int, pos []geom.Point, col []model.Color, all bool, shared *model.World) {
 	w := worlds.Get().(*world)
 	w.pos = append(w.pos[:0], pos...)
 	w.col = append(w.col[:0], col...)
+	w.all = all
 	p.jobs <- computeJob{robot: r, look: look, world: w, shared: shared}
 }
 
@@ -193,13 +202,19 @@ func (p *computePool) worker() {
 	}
 }
 
-// look builds job j's snapshot of its world. The row comes from the
-// worker's own visibility snapshot, reloaded with the world's positions,
-// so it is exactly the row an inline Look of the same world reads.
-// Others aliases the looker's buffer and is valid until the next look.
+// look builds job j's snapshot of its world. A job that sees every
+// other robot needs no row; otherwise the worker's kernel computes it
+// from the world's positions, exactly the row an inline Look of the
+// same world reads. Others aliases the looker's buffer and is valid
+// until the next look.
 func (l *looker) look(j computeJob, jitter Jitter) model.Snapshot {
-	l.vis.Reset(j.world.pos)
-	s := Look(l.others, j.robot, j.look, l.vis.Row(j.robot), j.world.pos, j.world.col, jitter, j.shared)
+	w := j.world
+	var row []int
+	if !w.all {
+		l.row = l.vis.VisibleRow(l.row, w.pos, j.robot)
+		row = l.row
+	}
+	s := Look(l.others, j.robot, j.look, row, w.all, w.pos, w.col, jitter, j.shared)
 	l.others = s.Others
 	return s
 }

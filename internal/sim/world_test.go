@@ -17,9 +17,10 @@ import (
 
 // hullChecker wraps LogVis and checks every snapshot's World against the
 // model.World contract: a World reaches only full, unjittered views;
-// its hull is ConvexHull's, bit for bit; and every snapshot that shares
-// one World has the same point multiset, so two position states never
-// share one.
+// its hull is ConvexHull's, bit for bit, and its AllCollinear answer
+// geom.AllCollinear's for the snapshot's own point order; and every
+// snapshot that shares one World has the same point multiset, so two
+// position states never share one.
 type hullChecker struct {
 	core.LogVis
 	n int
@@ -40,6 +41,9 @@ func (h *hullChecker) Compute(s model.Snapshot) model.Action {
 			return math.Float64bits(p.X) == math.Float64bits(q.X) && math.Float64bits(p.Y) == math.Float64bits(q.Y)
 		}) {
 			msg = fmt.Sprintf("shared hull %v, ConvexHull %v", got, want)
+		}
+		if got, want := s.World.AllCollinear(pts), geom.AllCollinear(pts); got != want {
+			msg = fmt.Sprintf("shared AllCollinear %v, geom.AllCollinear %v", got, want)
 		}
 		if len(s.Others) != h.n-1 {
 			msg = fmt.Sprintf("a view of %d of %d other robots holds a World", len(s.Others), h.n-1)
@@ -76,8 +80,9 @@ func multisetKey(s model.Snapshot) string {
 
 // TestSharedHullMatchesConvexHull runs LogVis under hullChecker, inline
 // and pipelined. Full views of uniform starts share Worlds, each built
-// from one position state with ConvexHull's exact corners; jittered
-// Looks and the partial views of a line start get none.
+// from one position state with ConvexHull's exact corners and
+// AllCollinear's answer; jittered Looks and the partial views of a line
+// start get none.
 func TestSharedHullMatchesConvexHull(t *testing.T) {
 	cases := []struct {
 		name   string
