@@ -77,7 +77,8 @@ scenarios:
 	$(GO) test ./internal/verify -race -count=1 -run '^TestDifferentialScenarioSweep$$' -v
 
 ## bench-visibility: regenerate the visibility-kernel benchmark baseline
-## (kernel vs per-Look vs incremental, with host info). Takes minutes;
+## (N warm Kernel.VisibleRow calls vs N per-Look VisibleSetFast calls,
+## with host info). Takes minutes;
 ## commit the refreshed BENCH_visibility.json with perf-relevant changes.
 bench-visibility:
 	$(GO) run ./cmd/visbench -bench-visibility BENCH_visibility.json

@@ -17,9 +17,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-
-	"luxvis/internal/geom"
-	"testing"
 )
 
 // checkBaselineSizes is the visibility subset the gate re-measures:
@@ -104,35 +101,6 @@ func loadBaseline(path string, into any) error {
 	return nil
 }
 
-// measureVisibilitySubset re-runs the gate's visibility cells using the
-// same harness as the full -bench-visibility report.
-func measureVisibilitySubset() []VisBenchRow {
-	var rows []VisBenchRow
-	for _, n := range checkBaselineSizes {
-		pts := visBenchPoints(n)
-		kernRes := kernelPass(pts, 1)
-		lookRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < n; r++ {
-					_ = geom.VisibleSetFast(pts, r)
-				}
-			}
-		})
-		row := VisBenchRow{
-			N:                n,
-			KernelNsPerPass:  kernRes.NsPerOp(),
-			PerLookNsPerPass: lookRes.NsPerOp(),
-			KernelAllocsPass: int64(kernRes.AllocsPerOp()),
-		}
-		if row.KernelNsPerPass > 0 {
-			row.SpeedupFull = float64(row.PerLookNsPerPass) / float64(row.KernelNsPerPass)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // runCheckBaseline is the -check-baseline entry point. Exit codes:
 // 0 within tolerance (or skipped on a host mismatch), 1 regression,
 // 2 unreadable baseline.
@@ -149,7 +117,11 @@ func runCheckBaseline(visPath, streamPath string, tol float64, stdout io.Writer)
 		fmt.Fprintf(stdout, "visbench: check-baseline: skipping %s (recorded on %d CPU(s), this host has %d; ratios do not transfer)\n",
 			visPath, visBase.Host.NumCPU, runtime.NumCPU())
 	} else {
-		issues = append(issues, compareVisibility(&visBase, measureVisibilitySubset(), tol)...)
+		var fresh []VisBenchRow
+		for _, n := range checkBaselineSizes {
+			fresh = append(fresh, measureVisibility(n))
+		}
+		issues = append(issues, compareVisibility(&visBase, fresh, tol)...)
 		checked++
 	}
 

@@ -29,7 +29,6 @@ func main() {
 		epochs     = flag.Int("max-epochs", 0, "per-run epoch cap (0 = default)")
 		svgDir     = flag.String("svg", "", "also write SVG figures (T1, F1, F3) into this directory")
 		visBench   = flag.String("bench-visibility", "", "measure the visibility kernel against the per-Look baseline, write the JSON report to this path ('-' = stdout), and exit")
-		visWorkers = flag.Int("kernel-workers", 0, "worker count for the bench-visibility parallel kernel column (0 = numCPU)")
 		strBench   = flag.String("bench-stream", "", "measure stream-hub fan-out overhead on the hot engine path, write the JSON report to this path ('-' = stdout), and exit")
 		checkBase  = flag.Bool("check-baseline", false, "re-measure a CI-sized subset and compare against the checked-in benchmark baselines; exit 1 on regression, skip (exit 0) on a core-count mismatch")
 		baseVis    = flag.String("baseline-visibility", "BENCH_visibility.json", "visibility baseline for -check-baseline")
@@ -60,7 +59,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := runVisibilityBench(out, *visWorkers); err != nil {
+		if err := runVisibilityBench(out); err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: bench-visibility: %v\n", err)
 			os.Exit(1)
 		}

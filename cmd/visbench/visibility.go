@@ -16,43 +16,27 @@ import (
 // mirroring kernelBenchSizes in internal/geom/bench_test.go.
 var visBenchSizes = []int{64, 256, 1024, 4096}
 
-// VisBenchHost identifies the machine a baseline was measured on; a
-// single-core host cannot show the kernel's parallel fan-out, so the
-// core count is part of the record.
+// VisBenchHost identifies the machine a baseline was measured on. The
+// -check-baseline gate compares only on a host with the same core
+// count.
 type VisBenchHost struct {
 	GoVersion string `json:"goVersion"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"numCPU"`
-	// KernelWorkers is the worker count NewKernel(0) resolved to.
-	KernelWorkers int `json:"kernelWorkers"`
-	// ParallelWorkers is the worker count the kernelParallel column ran
-	// with (the -kernel-workers override, or numCPU). On a single-core
-	// host it exercises the fan-out dispatch path without parallelism.
-	ParallelWorkers int `json:"parallelWorkers"`
 }
 
 // VisBenchRow is one swarm size's measurements. "Pass" means resolving
-// all N visibility rows once: the kernel does it as one batched
-// zero-allocation computation, the per-Look baseline as N independent
-// allocating VisibleSetFast calls (what the engine paid per cycle of
-// Looks before the kernel), and the incremental pass re-reads all N
-// rows after a single-robot move, revalidating unaffected rows instead
-// of recomputing them.
+// all N visibility rows once: the kernel as N warm Kernel.VisibleRow
+// calls into one reused buffer, the per-Look baseline as N independent
+// allocating VisibleSetFast calls.
 type VisBenchRow struct {
-	N                  int     `json:"n"`
-	KernelNsPerPass    int64   `json:"kernelNsPerPass"`
-	KernelParNsPass    int64   `json:"kernelParallelNsPerPass"`
-	PerLookNsPerPass   int64   `json:"perLookNsPerPass"`
-	IncrementalNsPass  int64   `json:"incrementalNsPerPass"`
-	KernelAllocsPass   int64   `json:"kernelAllocsPerPass"`
-	PerLookAllocsPass  int64   `json:"perLookAllocsPerPass"`
-	SpeedupFull        float64 `json:"speedupFull"`
-	SpeedupIncremental float64 `json:"speedupIncremental"`
-	// SpeedupParallel = serial kernel / parallel kernel: >1 only when
-	// the host has cores to fan out over; ~1 or slightly below on one
-	// core, where it prices the dispatch overhead instead.
-	SpeedupParallel float64 `json:"speedupParallel"`
+	N                 int     `json:"n"`
+	KernelNsPerPass   int64   `json:"kernelNsPerPass"`
+	PerLookNsPerPass  int64   `json:"perLookNsPerPass"`
+	KernelAllocsPass  int64   `json:"kernelAllocsPerPass"`
+	PerLookAllocsPass int64   `json:"perLookAllocsPerPass"`
+	SpeedupFull       float64 `json:"speedupFull"`
 }
 
 // VisBenchReport is the BENCH_visibility.json schema.
@@ -71,117 +55,73 @@ func visBenchPoints(n int) []geom.Point {
 	return pts
 }
 
-// kernelPass benchmarks one batched Reset+ComputeAll pass at the given
-// worker count.
-func kernelPass(pts []geom.Point, workers int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		kern := geom.NewKernel(workers)
+// measureVisibility times one pass of each kind over n points; the full
+// report and the -check-baseline gate share it.
+func measureVisibility(n int) VisBenchRow {
+	pts := visBenchPoints(n)
+	kernRes := testing.Benchmark(func(b *testing.B) {
+		kern := geom.NewKernel(1)
 		defer kern.Close()
-		snap := kern.NewSnapshot()
-		snap.Reset(pts)
-		snap.ComputeAll()
+		var row []int
+		for r := range pts {
+			row = kern.VisibleRow(row, pts, r)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			snap.Reset(pts)
-			snap.ComputeAll()
+			for r := range pts {
+				row = kern.VisibleRow(row, pts, r)
+			}
 		}
 	})
+	lookRes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for r := range pts {
+				_ = geom.VisibleSetFast(pts, r)
+			}
+		}
+	})
+	row := VisBenchRow{
+		N:                 n,
+		KernelNsPerPass:   kernRes.NsPerOp(),
+		PerLookNsPerPass:  lookRes.NsPerOp(),
+		KernelAllocsPass:  int64(kernRes.AllocsPerOp()),
+		PerLookAllocsPass: int64(lookRes.AllocsPerOp()),
+	}
+	if row.KernelNsPerPass > 0 {
+		row.SpeedupFull = float64(row.PerLookNsPerPass) / float64(row.KernelNsPerPass)
+	}
+	return row
 }
 
-// runVisibilityBench measures the kernel (serial and fanned out over
-// parWorkers workers; 0 = numCPU) against the per-Look baseline and
-// writes the JSON baseline to w.
-func runVisibilityBench(w io.Writer, parWorkers int) error {
-	kern := geom.NewKernel(0)
-	workers := kern.Workers()
-	kern.Close()
-	if parWorkers <= 0 {
-		parWorkers = runtime.NumCPU()
-	}
-
+// runVisibilityBench measures the kernel against the per-Look baseline
+// and writes the JSON baseline to w.
+func runVisibilityBench(w io.Writer) error {
 	rep := VisBenchReport{
 		Host: VisBenchHost{
-			GoVersion:       runtime.Version(),
-			GOOS:            runtime.GOOS,
-			GOARCH:          runtime.GOARCH,
-			NumCPU:          runtime.NumCPU(),
-			KernelWorkers:   workers,
-			ParallelWorkers: parWorkers,
+			GoVersion: runtime.Version(),
+			GOOS:      runtime.GOOS,
+			GOARCH:    runtime.GOARCH,
+			NumCPU:    runtime.NumCPU(),
 		},
-		Notes: []string{
-			"A pass resolves all N visibility rows once; ns figures are per pass.",
-			"kernel: one batched Snapshot Reset+ComputeAll (arena-backed, zero allocations when warm), pinned to one worker.",
-			"kernelParallel: the same pass fanned out over parallelWorkers workers (-kernel-workers to override).",
-			"perLook: N independent VisibleSetFast calls, each allocating its own scratch — the pre-kernel engine cost per cycle of Looks.",
-			"incremental: one Snapshot.Update (single-robot move) followed by re-reading all N rows; rows the move provably cannot affect revalidate instead of recomputing.",
-			"speedupFull = perLook/kernel, speedupIncremental = perLook/incremental, speedupParallel = kernel/kernelParallel, on this host.",
-			"On a single-core host (numCPU=1) speedupParallel prices the fan-out dispatch overhead, not parallelism; re-run `make bench-visibility` on a multi-core host to record the scaling.",
-		},
+		Notes: visBenchNotes,
 	}
-
 	for _, n := range visBenchSizes {
-		pts := visBenchPoints(n)
-
-		kernRes := kernelPass(pts, 1)
-		kernParRes := kernelPass(pts, parWorkers)
-
-		lookRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < n; r++ {
-					_ = geom.VisibleSetFast(pts, r)
-				}
-			}
-		})
-
-		incRes := testing.Benchmark(func(b *testing.B) {
-			kern := geom.NewKernel(0)
-			defer kern.Close()
-			snap := kern.NewSnapshot()
-			snap.Reset(pts)
-			snap.ComputeAll()
-			home := pts[n/2]
-			away := geom.Pt(home.X+431.7, home.Y-219.3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					snap.Update(n/2, away)
-				} else {
-					snap.Update(n/2, home)
-				}
-				for r := 0; r < n; r++ {
-					_ = snap.Row(r)
-				}
-			}
-		})
-
-		row := VisBenchRow{
-			N:                 n,
-			KernelNsPerPass:   kernRes.NsPerOp(),
-			KernelParNsPass:   kernParRes.NsPerOp(),
-			PerLookNsPerPass:  lookRes.NsPerOp(),
-			IncrementalNsPass: incRes.NsPerOp(),
-			KernelAllocsPass:  int64(kernRes.AllocsPerOp()),
-			PerLookAllocsPass: int64(lookRes.AllocsPerOp()),
-		}
-		if row.KernelNsPerPass > 0 {
-			row.SpeedupFull = float64(row.PerLookNsPerPass) / float64(row.KernelNsPerPass)
-		}
-		if row.IncrementalNsPass > 0 {
-			row.SpeedupIncremental = float64(row.PerLookNsPerPass) / float64(row.IncrementalNsPass)
-		}
-		if row.KernelParNsPass > 0 {
-			row.SpeedupParallel = float64(row.KernelNsPerPass) / float64(row.KernelParNsPass)
-		}
+		row := measureVisibility(n)
 		rep.Sizes = append(rep.Sizes, row)
-		fmt.Fprintf(os.Stderr, "visbench: n=%d kernel=%dns parallel(%d)=%dns perLook=%dns incremental=%dns (full %.2fx, incremental %.2fx, parallel %.2fx)\n",
-			n, row.KernelNsPerPass, parWorkers, row.KernelParNsPass, row.PerLookNsPerPass, row.IncrementalNsPass,
-			row.SpeedupFull, row.SpeedupIncremental, row.SpeedupParallel)
+		fmt.Fprintf(os.Stderr, "visbench: n=%d kernel=%dns perLook=%dns (full %.2fx)\n",
+			n, row.KernelNsPerPass, row.PerLookNsPerPass, row.SpeedupFull)
 	}
-
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// visBenchNotes explains the report's columns.
+var visBenchNotes = []string{
+	"A pass resolves all N visibility rows once; ns figures are per pass.",
+	"kernel: N warm Kernel.VisibleRow calls into one reused buffer (arena-backed, zero allocations when warm) on a 1-worker kernel.",
+	"perLook: N independent VisibleSetFast calls, each allocating its own scratch — the pre-kernel engine cost per cycle of Looks.",
+	"speedupFull = perLook/kernel, on this host.",
 }

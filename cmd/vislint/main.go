@@ -3,7 +3,7 @@
 // but the standard library, computes per-function cross-package
 // summaries, and runs the internal/lint analyzer suite — floateq,
 // palette, mutexdiscipline, ctxcancel, locksafe, atomicmix, errsink,
-// wireformat, arenaalias, ctxflow, detsource, goleak, lockorder,
+// wireformat, ctxflow, detsource, goleak, lockorder,
 // chanown — each of which protects one of the paper's invariants at
 // build time (see DESIGN.md, "Static invariants"). It prints findings
 // as file:line:col with severity and explanation, and exits 1 when any

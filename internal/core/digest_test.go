@@ -29,11 +29,11 @@ import (
 // and copy the reported digests, stating the reason in the change.
 //
 // The n24 and n64 rows hash Result.Kernel too, whose row counters count
-// only the rows the engine's snapshot computed or revalidated. They
-// were last re-blessed when Looks taken while the world is known to be
-// completely visible stopped building rows: the counters dropped by
-// design, and the digests of every row without Kernel stayed identical
-// at one proc and at four.
+// the rows the engine built and the rows it served again because no
+// robot had moved since (see sim.KernelStats). They were last
+// re-blessed when the engine's incremental snapshot gave way to one row
+// buffer per robot: the counters changed by design, and the digests of
+// every row without Kernel stayed identical at one proc and at four.
 //
 // The n192 rows, which add CircleVis and sensor jitter, are large
 // enough to pipeline Look and Compute on the engine's compute workers
@@ -41,126 +41,126 @@ import (
 // at one; they hash every field but Kernel (see withoutKernel). Run the
 // test at -cpu 1,4 to pin both ways against the same digest.
 var resultDigests = map[string]string{
-	"logvis/uniform/async-random/n24":      "2b2c8dcb65d3c546",
-	"logvis/uniform/async-random/n64":      "42c1c5a854899d35",
+	"logvis/uniform/async-random/n24":      "d0cf24db1ce895cf",
+	"logvis/uniform/async-random/n64":      "b9ba959800ded81c",
 	"logvis/uniform/async-stale/n24":       "46af0c4025e07bb1",
 	"logvis/uniform/async-stale/n64":       "60b48babc0d0e106",
-	"logvis/uniform/ssync/n24":             "ef12bcedced30216",
-	"logvis/uniform/ssync/n64":             "3b60da203bdefb72",
-	"logvis/clustered/async-random/n24":    "ed19677efd671a8b",
-	"logvis/clustered/async-random/n64":    "353f211115c35d1c",
+	"logvis/uniform/ssync/n24":             "fd240169a67dbd88",
+	"logvis/uniform/ssync/n64":             "1d9083148d274592",
+	"logvis/clustered/async-random/n24":    "d96a895338a4f543",
+	"logvis/clustered/async-random/n64":    "2b185d2b6d747d06",
 	"logvis/clustered/async-stale/n24":     "1971c16a91451e1e",
 	"logvis/clustered/async-stale/n64":     "78e06255faae8df7",
-	"logvis/clustered/ssync/n24":           "fb0348c08abd2383",
-	"logvis/clustered/ssync/n64":           "1e07d4328f385bf1",
-	"logvis/line/async-random/n24":         "e40c5f61db9bcd83",
-	"logvis/line/async-random/n64":         "4adba078b7058d59",
+	"logvis/clustered/ssync/n24":           "068db018350b53b2",
+	"logvis/clustered/ssync/n64":           "e82ce25e5c5ca2a5",
+	"logvis/line/async-random/n24":         "dcd9b02af359a488",
+	"logvis/line/async-random/n64":         "3718ca55c290f206",
 	"logvis/line/async-stale/n24":          "fce7ecdea2b59f1c",
 	"logvis/line/async-stale/n64":          "4ebc632d9af989e8",
-	"logvis/line/ssync/n24":                "61652f121f38225e",
-	"logvis/line/ssync/n64":                "f3aea558483e4666",
-	"logvis/line-even/async-random/n24":    "aed12a71792a42c1",
-	"logvis/line-even/async-random/n64":    "d86a9b1b0d90f9fa",
-	"logvis/line-even/async-stale/n24":     "9ea72ad18bacea3d",
-	"logvis/line-even/async-stale/n64":     "bc4600af07efd19b",
-	"logvis/line-even/ssync/n24":           "a278362ff7cce9ad",
-	"logvis/line-even/ssync/n64":           "256a87407d596dfa",
-	"logvis/circle/async-random/n24":       "0c834123cb44f94c",
-	"logvis/circle/async-random/n64":       "9971c74576dd9bf4",
+	"logvis/line/ssync/n24":                "d3cdd933e96f1d0b",
+	"logvis/line/ssync/n64":                "a5e2f6981b9cae45",
+	"logvis/line-even/async-random/n24":    "b65e49365d11f331",
+	"logvis/line-even/async-random/n64":    "14e7a352818b67cb",
+	"logvis/line-even/async-stale/n24":     "47f67abaab773dce",
+	"logvis/line-even/async-stale/n64":     "4db263182842880b",
+	"logvis/line-even/ssync/n24":           "474b60937e0913cb",
+	"logvis/line-even/ssync/n64":           "cc0753fb117465b5",
+	"logvis/circle/async-random/n24":       "673f39b114f7407a",
+	"logvis/circle/async-random/n64":       "2c62b1394713199f",
 	"logvis/circle/async-stale/n24":        "194e726d3342e121",
 	"logvis/circle/async-stale/n64":        "aa39c2ad19528fc8",
-	"logvis/circle/ssync/n24":              "22dae1ce6fe1cf79",
-	"logvis/circle/ssync/n64":              "5d398ee8713d0462",
-	"logvis/onion/async-random/n24":        "3f7394dc31b1b1ff",
-	"logvis/onion/async-random/n64":        "be6a33fdf2d3ccb9",
+	"logvis/circle/ssync/n24":              "5b8c9580785f48d2",
+	"logvis/circle/ssync/n64":              "35b91607a5851f8e",
+	"logvis/onion/async-random/n24":        "504c47aca32d9351",
+	"logvis/onion/async-random/n64":        "2c7f50560d494ad0",
 	"logvis/onion/async-stale/n24":         "39a5b345904de1b2",
 	"logvis/onion/async-stale/n64":         "ec3bb95655a09a18",
-	"logvis/onion/ssync/n24":               "ca0206aa8b3526d2",
-	"logvis/onion/ssync/n64":               "92f27dc3912ce69f",
-	"logvis/grid/async-random/n24":         "cb936cdb66dff991",
-	"logvis/grid/async-random/n64":         "b9cd231a40c506f4",
+	"logvis/onion/ssync/n24":               "57b86b3adc47d58b",
+	"logvis/onion/ssync/n64":               "1bab7ff8afd25905",
+	"logvis/grid/async-random/n24":         "dde14f9f3624fc6e",
+	"logvis/grid/async-random/n64":         "13e4660c83c72b7e",
 	"logvis/grid/async-stale/n24":          "b407c812e98417ec",
 	"logvis/grid/async-stale/n64":          "8ef1a964eb973711",
-	"logvis/grid/ssync/n24":                "c44b1745b167f987",
-	"logvis/grid/ssync/n64":                "13da4c569e474c47",
-	"logvis/two-clusters/async-random/n24": "f17b6b34bab64311",
-	"logvis/two-clusters/async-random/n64": "327db68ece78f897",
+	"logvis/grid/ssync/n24":                "5cd8ab1682ccd9e8",
+	"logvis/grid/ssync/n64":                "8d6b4b3e7436c5f1",
+	"logvis/two-clusters/async-random/n24": "86c89964ef3d4823",
+	"logvis/two-clusters/async-random/n64": "e3e37be09c74a361",
 	"logvis/two-clusters/async-stale/n24":  "c3ca6baff8451384",
-	"logvis/two-clusters/async-stale/n64":  "925ab393d4e1f5f5",
-	"logvis/two-clusters/ssync/n24":        "5de0b4463e6b6aa5",
-	"logvis/two-clusters/ssync/n64":        "9eb6b4a9a91684dd",
-	"logvis/wedge/async-random/n24":        "8aed2c33667040bb",
-	"logvis/wedge/async-random/n64":        "793288af04d3901f",
+	"logvis/two-clusters/async-stale/n64":  "c54e842134ef826d",
+	"logvis/two-clusters/ssync/n24":        "4a3792a0836f1ae1",
+	"logvis/two-clusters/ssync/n64":        "64a73021fef5029d",
+	"logvis/wedge/async-random/n24":        "f3c99bee21a9e7de",
+	"logvis/wedge/async-random/n64":        "08a420f8f7b5c144",
 	"logvis/wedge/async-stale/n24":         "bc89b1113f9fc6b9",
 	"logvis/wedge/async-stale/n64":         "5bc2eba0b98ddaaf",
-	"logvis/wedge/ssync/n24":               "c68f66ed1e5d065c",
-	"logvis/wedge/ssync/n64":               "c00903aaf5258fda",
-	"logvis/spokes/async-random/n24":       "7cd2b4380c639f59",
-	"logvis/spokes/async-random/n64":       "8b2a2fef23eb47f6",
-	"logvis/spokes/async-stale/n24":        "7e7f3ba4f0d89413",
-	"logvis/spokes/async-stale/n64":        "ffda351a8e0e5a94",
-	"logvis/spokes/ssync/n24":              "6b41ee07d4575155",
-	"logvis/spokes/ssync/n64":              "d4e00bf19f8a7d6a",
-	"seqvis/uniform/async-random/n24":      "238195f76261e959",
-	"seqvis/uniform/async-random/n64":      "a32c54e8903ef3b4",
+	"logvis/wedge/ssync/n24":               "f9b4591908b67a76",
+	"logvis/wedge/ssync/n64":               "db0c8265c8e0459d",
+	"logvis/spokes/async-random/n24":       "3de8041d0ceb62d0",
+	"logvis/spokes/async-random/n64":       "31b5230d2b81e5c2",
+	"logvis/spokes/async-stale/n24":        "3197511a85661a89",
+	"logvis/spokes/async-stale/n64":        "2c37f548dc39da21",
+	"logvis/spokes/ssync/n24":              "5104b5970d942268",
+	"logvis/spokes/ssync/n64":              "4fcaa9f0d7b87fe8",
+	"seqvis/uniform/async-random/n24":      "dc33f2a01899ed58",
+	"seqvis/uniform/async-random/n64":      "45bcd9a2834e5e96",
 	"seqvis/uniform/async-stale/n24":       "c17d7333292de019",
 	"seqvis/uniform/async-stale/n64":       "f42ddc01be05efc1",
-	"seqvis/uniform/ssync/n24":             "dd8c51077b083a51",
-	"seqvis/uniform/ssync/n64":             "5254b05a5c5266c7",
-	"seqvis/clustered/async-random/n24":    "4f4b285ddfbc9e26",
-	"seqvis/clustered/async-random/n64":    "e5212452652040fd",
+	"seqvis/uniform/ssync/n24":             "1d734877b949ce76",
+	"seqvis/uniform/ssync/n64":             "f376839c4c73b48e",
+	"seqvis/clustered/async-random/n24":    "2ecfd516789f932a",
+	"seqvis/clustered/async-random/n64":    "56b605db6bf59e91",
 	"seqvis/clustered/async-stale/n24":     "5c85d866c74f797b",
 	"seqvis/clustered/async-stale/n64":     "1e200b34b7758926",
-	"seqvis/clustered/ssync/n24":           "c34cdef8c7b2512e",
-	"seqvis/clustered/ssync/n64":           "6d77c630945ae43a",
-	"seqvis/line/async-random/n24":         "adab01c42640a55e",
-	"seqvis/line/async-random/n64":         "79b9fa42cb9e0480",
+	"seqvis/clustered/ssync/n24":           "dea80ffbd96182c2",
+	"seqvis/clustered/ssync/n64":           "4ca255088e122ebe",
+	"seqvis/line/async-random/n24":         "ffb59614a896c7c7",
+	"seqvis/line/async-random/n64":         "820c2264ee5d3f0b",
 	"seqvis/line/async-stale/n24":          "320efd96c01f3330",
 	"seqvis/line/async-stale/n64":          "bfbb64a4b41da04a",
-	"seqvis/line/ssync/n24":                "f61461d2dd839fcf",
-	"seqvis/line/ssync/n64":                "563ef2e7a2de7e64",
-	"seqvis/line-even/async-random/n24":    "28aba44581cdb7b1",
-	"seqvis/line-even/async-random/n64":    "b57c0e6c1b22c747",
-	"seqvis/line-even/async-stale/n24":     "ae5dc37cf6299170",
-	"seqvis/line-even/async-stale/n64":     "a7f0e2aa75a7522f",
-	"seqvis/line-even/ssync/n24":           "9c61a094fb3458cb",
-	"seqvis/line-even/ssync/n64":           "2bf433c0309b25cb",
-	"seqvis/circle/async-random/n24":       "5e9da67dfa7b3cfd",
-	"seqvis/circle/async-random/n64":       "bbd10c6ffd62bb4f",
+	"seqvis/line/ssync/n24":                "fdffd335ac3cdc22",
+	"seqvis/line/ssync/n64":                "417d7087607d6428",
+	"seqvis/line-even/async-random/n24":    "fd3a1a31f7e4f702",
+	"seqvis/line-even/async-random/n64":    "b1ce9db6984245ed",
+	"seqvis/line-even/async-stale/n24":     "a9146a27a3e88ac4",
+	"seqvis/line-even/async-stale/n64":     "8823d59e34ac3869",
+	"seqvis/line-even/ssync/n24":           "38b2c72a612f79e9",
+	"seqvis/line-even/ssync/n64":           "c04d4483bd11b5bb",
+	"seqvis/circle/async-random/n24":       "c25bb1d9b7a7b461",
+	"seqvis/circle/async-random/n64":       "a4b078a3aa981a6c",
 	"seqvis/circle/async-stale/n24":        "7c7ce2dd3eae0993",
 	"seqvis/circle/async-stale/n64":        "a0a03b8b80727f3d",
-	"seqvis/circle/ssync/n24":              "0e9b18af89bd1008",
-	"seqvis/circle/ssync/n64":              "c42352be8d1a2340",
-	"seqvis/onion/async-random/n24":        "0c42915492a0f168",
-	"seqvis/onion/async-random/n64":        "48c05bcb6c728317",
+	"seqvis/circle/ssync/n24":              "9e0f14ea6e003bdb",
+	"seqvis/circle/ssync/n64":              "66ade85542ba344d",
+	"seqvis/onion/async-random/n24":        "6e0a3046cff107d6",
+	"seqvis/onion/async-random/n64":        "557140dbfd722024",
 	"seqvis/onion/async-stale/n24":         "ce82d016093cbe76",
 	"seqvis/onion/async-stale/n64":         "149bd6e2ae3eb0a7",
-	"seqvis/onion/ssync/n24":               "02b0e4f8d0d8609d",
-	"seqvis/onion/ssync/n64":               "d58f19e97926351a",
-	"seqvis/grid/async-random/n24":         "2cd74392ce60288f",
-	"seqvis/grid/async-random/n64":         "e99e2ef9c9237ce5",
+	"seqvis/onion/ssync/n24":               "94372c5e94010c47",
+	"seqvis/onion/ssync/n64":               "973a92f64e67a925",
+	"seqvis/grid/async-random/n24":         "3a580d7165985ae4",
+	"seqvis/grid/async-random/n64":         "7768b469760d20ac",
 	"seqvis/grid/async-stale/n24":          "ff8c3f84e724faed",
 	"seqvis/grid/async-stale/n64":          "99f98bd921bba8f9",
-	"seqvis/grid/ssync/n24":                "f47b4e0256933474",
-	"seqvis/grid/ssync/n64":                "34020f4bfce84fc5",
-	"seqvis/two-clusters/async-random/n24": "9080c676ac771c86",
-	"seqvis/two-clusters/async-random/n64": "a9e0e1fb03ae3ff4",
+	"seqvis/grid/ssync/n24":                "65ec7df74a320f1f",
+	"seqvis/grid/ssync/n64":                "5a2145c6d7e12ea8",
+	"seqvis/two-clusters/async-random/n24": "32a3ff164c298fe0",
+	"seqvis/two-clusters/async-random/n64": "723058a9229b6e61",
 	"seqvis/two-clusters/async-stale/n24":  "a7f97e8eb0c35791",
-	"seqvis/two-clusters/async-stale/n64":  "1aa12fac5b593763",
-	"seqvis/two-clusters/ssync/n24":        "e418023af5f9d0b3",
-	"seqvis/two-clusters/ssync/n64":        "f6dea094741d92fe",
-	"seqvis/wedge/async-random/n24":        "13bdfdf96b55a209",
-	"seqvis/wedge/async-random/n64":        "65a75e78bd8569e8",
+	"seqvis/two-clusters/async-stale/n64":  "884d2ceb33b7401a",
+	"seqvis/two-clusters/ssync/n24":        "df845d09b900d32e",
+	"seqvis/two-clusters/ssync/n64":        "526d08b5854fc303",
+	"seqvis/wedge/async-random/n24":        "fb7c60116a47d4e1",
+	"seqvis/wedge/async-random/n64":        "186b71b194020431",
 	"seqvis/wedge/async-stale/n24":         "52e794feb05404ad",
 	"seqvis/wedge/async-stale/n64":         "9ca0d1985b3058be",
-	"seqvis/wedge/ssync/n24":               "1243a492eb21f42a",
-	"seqvis/wedge/ssync/n64":               "090e2b9b61485ecb",
-	"seqvis/spokes/async-random/n24":       "af9832702d855576",
-	"seqvis/spokes/async-random/n64":       "29a8f557bcbf2330",
-	"seqvis/spokes/async-stale/n24":        "856e7827793c7164",
-	"seqvis/spokes/async-stale/n64":        "a80f83d3e1201ab7",
-	"seqvis/spokes/ssync/n24":              "e61f7fbe6e6a5034",
-	"seqvis/spokes/ssync/n64":              "c079a98acd485235",
+	"seqvis/wedge/ssync/n24":               "6d80d97686b7c8c8",
+	"seqvis/wedge/ssync/n64":               "1ba0cd2321294440",
+	"seqvis/spokes/async-random/n24":       "03781d28b3e953a0",
+	"seqvis/spokes/async-random/n64":       "87294f4764dcbed0",
+	"seqvis/spokes/async-stale/n24":        "466f46a522d8b82e",
+	"seqvis/spokes/async-stale/n64":        "d8c89a2e4fb5fc5b",
+	"seqvis/spokes/ssync/n24":              "57d0433ea864bf67",
+	"seqvis/spokes/ssync/n64":              "6a366f5e85fd032f",
 
 	// Pipelined at two procs or more (see above).
 	"logvis/uniform/async-random/n192":              "749f005e0cd6d7ba",
@@ -249,9 +249,9 @@ func TestResultDigests(t *testing.T) {
 			t.Fatalf("%s: %v", key, err)
 		}
 		// With two procs for this one run in flight the engine
-		// pipelines, and its own snapshot then serves no Look.
+		// pipelines, and its own rows then serve no Look.
 		if procs := runtime.GOMAXPROCS(0); procs > 1 && res.Kernel.RowsComputed+res.Kernel.RowsReused != 0 {
-			t.Errorf("%s at %d procs: the engine snapshot served %d rows, want a pipelined run",
+			t.Errorf("%s at %d procs: the engine's own rows served %d Looks, want a pipelined run",
 				key, procs, res.Kernel.RowsComputed+res.Kernel.RowsReused)
 		}
 		check(key, resultDigest(t, withoutKernel(res)))

@@ -114,30 +114,30 @@ func BenchmarkSegmentIntersect(b *testing.B) {
 // BENCH_visibility.json.
 var kernelBenchSizes = []int{64, 256, 1024, 4096}
 
-// BenchmarkVisibilityKernel measures a full batched pass — all n rows
-// recomputed — after asserting, once per size, that every kernel row is
-// identical to per-Look VisibleSetFast. Compare against
-// BenchmarkVisibilityPerLook for the speedup; the zero-allocation
+// BenchmarkVisibleRow measures a full pass — all n rows built with
+// Kernel.VisibleRow into one reused buffer — after asserting, once per
+// size, that every row is identical to per-Look VisibleSetFast. Compare
+// against BenchmarkVisibilityPerLook for the speedup; the zero-allocation
 // steady state is additionally enforced by TestKernelZeroAllocSteadyState.
-func BenchmarkVisibilityKernel(b *testing.B) {
+func BenchmarkVisibleRow(b *testing.B) {
 	for _, n := range kernelBenchSizes {
 		b.Run(sizeName(n), func(b *testing.B) {
 			pts := benchPoints(n, 2)
-			kern := NewKernel(0)
+			kern := NewKernel(1)
 			defer kern.Close()
-			snap := kern.NewSnapshot()
-			snap.Reset(pts)
-			snap.ComputeAll()
+			var row []int
 			for r := range pts {
-				if !slices.Equal(snap.Row(r), VisibleSetFast(pts, r)) {
+				row = kern.VisibleRow(row, pts, r)
+				if !slices.Equal(row, VisibleSetFast(pts, r)) {
 					b.Fatalf("kernel row %d diverges from VisibleSetFast at n=%d", r, n)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				snap.Reset(pts)
-				snap.ComputeAll()
+				for r := range pts {
+					row = kern.VisibleRow(row, pts, r)
+				}
 			}
 		})
 	}
@@ -154,37 +154,6 @@ func BenchmarkVisibilityPerLook(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < n; r++ {
 					_ = VisibleSetFast(pts, r)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSnapshotUpdate measures the incremental path: one robot
-// oscillates between two far-apart positions and all rows are re-read,
-// so most rows revalidate through the isolation check instead of
-// recomputing.
-func BenchmarkSnapshotUpdate(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			pts := benchPoints(n, 2)
-			kern := NewKernel(0)
-			defer kern.Close()
-			snap := kern.NewSnapshot()
-			snap.Reset(pts)
-			snap.ComputeAll()
-			home := pts[n/2]
-			away := Pt(home.X+431.7, home.Y-219.3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					snap.Update(n/2, away)
-				} else {
-					snap.Update(n/2, home)
-				}
-				for r := 0; r < n; r++ {
-					_ = snap.Row(r)
 				}
 			}
 		})

@@ -2,7 +2,11 @@
 // and algorithms. It provides points/vectors, orientation and betweenness
 // predicates, segments and their intersections, convex hulls with
 // corner/edge-point classification, circles and shallow arcs, and the
-// obstructed-visibility predicates of the robots-with-lights model.
+// obstructed-visibility predicates of the robots-with-lights model. Its
+// visibility Kernel keeps no configuration state: VisibleRow builds one
+// Look's row into the caller's buffer, ClearAround checks one moved
+// point, and CompleteVisibilityFast fans the whole-swarm check out over
+// a worker pool.
 //
 // All computations use float64 with a relative epsilon; the companion
 // package internal/exact re-implements the safety-critical predicates over

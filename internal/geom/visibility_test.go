@@ -76,16 +76,16 @@ func TestVisibilityCountAndBlockedPairs(t *testing.T) {
 }
 
 // visiblePairs counts the mutually visible pairs of pts with the Visible
-// oracle and fails t unless a 1-worker Snapshot's rows count the same.
+// oracle and fails t unless the kernel's rows count the same.
 func visiblePairs(t *testing.T, pts []Point) int {
 	t.Helper()
 	kern := NewKernel(1)
 	defer kern.Close()
-	snap := kern.NewSnapshot()
-	snap.Reset(pts)
+	var row []int
 	oracle, rows := 0, 0
 	for i := range pts {
-		rows += len(snap.Row(i))
+		row = kern.VisibleRow(row, pts, i)
+		rows += len(row)
 		for j := i + 1; j < len(pts); j++ {
 			if Visible(pts, i, j) {
 				oracle++
@@ -93,7 +93,7 @@ func visiblePairs(t *testing.T, pts []Point) int {
 		}
 	}
 	if rows != 2*oracle {
-		t.Fatalf("snapshot rows hold %d entries, want twice the %d visible pairs", rows, oracle)
+		t.Fatalf("kernel rows hold %d entries, want twice the %d visible pairs", rows, oracle)
 	}
 	return oracle
 }

@@ -146,7 +146,7 @@ func sortRaysCmp(rays []ray) {
 // visibleRow computes the visible set of pts[i] into out (which is
 // truncated and appended to, so callers can reuse its backing array) and
 // returns it, sorted by index. It is the single implementation behind
-// VisibleSetFast and the Kernel's Snapshot: identical inputs give
+// VisibleSetFast and Kernel.VisibleRow: identical inputs give
 // identical outputs regardless of which entry point or arena is used.
 func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 	self := pts[i]
@@ -299,8 +299,8 @@ func emitMask(mask []byte, out []int) []int {
 // Coincident points (violating the model's distinctness invariant) are
 // treated as mutually invisible, matching Visible.
 //
-// Each call allocates its own scratch; hot paths should use a Kernel
-// Snapshot, which reuses its arenas across calls.
+// Each call allocates its own scratch; hot paths should use
+// Kernel.VisibleRow, which reuses its arena across calls.
 func VisibleSetFast(pts []Point, i int) []int {
 	var a rowArena
 	return a.visibleRow(pts, i, nil)

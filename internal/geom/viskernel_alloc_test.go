@@ -1,9 +1,8 @@
 package geom_test
 
 // The zero-allocation guard for the kernel's steady state: once the
-// arenas and row buffers are warm, neither the batched pass (serial or
-// parallel), the incremental Update/Row path, a one-off VisibleRow, the
-// CV check nor ClearAround may allocate. CI runs this as part of the ordinary test
+// arenas and row buffers are warm, neither VisibleRow, the CV check
+// (serial or fanned out) nor ClearAround may allocate. CI runs this as part of the ordinary test
 // job, so an allocation sneaking into the hot path fails the build, not
 // just a benchmark report.
 
@@ -32,38 +31,24 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		n := c.n
 		kern := geom.NewKernel(c.workers)
 		defer kern.Close()
-		snap := kern.NewSnapshot()
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		}
-		// Warm the arenas: first passes grow every buffer to its final
-		// size.
-		for warm := 0; warm < 3; warm++ {
-			snap.Reset(pts)
-			snap.ComputeAll()
+		// Warm the arena and the buffer: a first pass over every row
+		// grows both to their final size.
+		var row []int
+		for r := range pts {
+			row = kern.VisibleRow(row, pts, r)
 		}
-		assertZeroAllocs(t, "Reset+ComputeAll", func() {
-			snap.Reset(pts)
-			snap.ComputeAll()
-		})
-		target := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		home := pts[n/2]
-		snap.Update(n/2, target)
-		snap.ComputeAll()
-		assertZeroAllocs(t, "Update+Row", func() {
-			snap.Update(n/2, home)
-			for r := 0; r < n; r++ {
-				_ = snap.Row(r)
+		assertZeroAllocs(t, "Kernel.VisibleRow", func() {
+			for r := range pts {
+				row = kern.VisibleRow(row, pts, r)
 			}
-			home, target = target, home
 		})
+		_ = kern.CompleteVisibilityFast(pts)
 		assertZeroAllocs(t, "Kernel.CompleteVisibilityFast", func() {
 			_ = kern.CompleteVisibilityFast(pts)
-		})
-		row := kern.VisibleRow(nil, pts, n/2)
-		assertZeroAllocs(t, "Kernel.VisibleRow", func() {
-			row = kern.VisibleRow(row, pts, n/2)
 		})
 		_ = kern.ClearAround(pts, n/2)
 		assertZeroAllocs(t, "Kernel.ClearAround", func() {

@@ -1,11 +1,13 @@
 package geom_test
 
-// Fuzz target for the incremental snapshot path, sharing the int8-grid
-// input format of FuzzVisibleAgainstNaive (its checked-in corpus seeds
-// this target directly): the last three bytes pick the moving robot and
-// its destination, the rest decodes the start configuration. After the
-// move, every snapshot row must agree with a from-scratch VisibleSetFast
-// and with the O(n²) reference.
+// FuzzSnapshotUpdate fuzzes the rows a Look sees after a position write,
+// sharing the int8-grid input format of FuzzVisibleAgainstNaive (its
+// checked-in corpus seeds this target directly): the last three bytes
+// pick the moving robot and its destination, the rest decodes the start
+// configuration. One kernel builds every row before and after the move
+// into reused per-robot buffers, as the engine does; each row must
+// agree with a from-scratch VisibleSetFast and with the O(n²)
+// reference.
 
 import (
 	"math"
@@ -33,23 +35,16 @@ func FuzzSnapshotUpdate(f *testing.F) {
 		}
 		kern := geom.NewKernel(2)
 		defer kern.Close()
-		snap := kern.NewSnapshot()
-		snap.Reset(pts)
-		snap.ComputeAll()
+		rows := checkRows(t, kern, nil, pts, "before the move")
 		m := int(mv[0]) % len(pts)
 		np := geom.Pt(float64(int8(mv[1])), float64(int8(mv[2])))
-		snap.Update(m, np)
 		cur := slices.Clone(pts)
 		cur[m] = np
+		rows = checkRows(t, kern, rows, cur, "after the move")
 		for r := range cur {
-			got := snap.Row(r)
-			if want := geom.VisibleSetFast(cur, r); !slices.Equal(got, want) {
-				t.Fatalf("after moving %d to %v: Row(%d) = %v, VisibleSetFast = %v (pts=%v)",
-					m, np, r, got, want, cur)
-			}
-			if ref := geom.VisibleFrom(cur, r); !slices.Equal(got, ref) {
-				t.Fatalf("after moving %d to %v: Row(%d) = %v, reference VisibleFrom = %v (pts=%v)",
-					m, np, r, got, ref, cur)
+			if ref := geom.VisibleFrom(cur, r); !slices.Equal(rows[r], ref) {
+				t.Fatalf("after moving %d to %v: VisibleRow(%d) = %v, reference VisibleFrom = %v (pts=%v)",
+					m, np, r, rows[r], ref, cur)
 			}
 		}
 	})

@@ -8,9 +8,9 @@ import (
 
 // This file is the engine's lightweight per-function dataflow pass: a
 // forward may-taint fixpoint over one function body that tracks which
-// local variables can hold a value of interest — an arena-backed
-// visibility row (arenaalias), a context derived from the caller's ctx
-// parameter (ctxflow) — through assignments, short declarations, tuple
+// local variables can hold a value of interest — a context derived from
+// the caller's ctx parameter, or one built from context.Background
+// (both ctxflow) — through assignments, short declarations, tuple
 // returns from calls, and slicing. It deliberately stops at what a
 // build gate can decide instantly: no heap model, no inter-procedural
 // flow of its own (call effects arrive as module-graph summaries via
@@ -23,8 +23,7 @@ type taintSpec struct {
 	// seed marks objects tainted from the start (e.g. a ctx parameter).
 	seed map[types.Object]bool
 	// sourceCall reports whether a call expression introduces taint by
-	// itself (e.g. Snapshot.Row, or a module-local function whose
-	// summary says it returns an arena row).
+	// itself (e.g. context.Background()).
 	sourceCall func(call *ast.CallExpr) bool
 	// propagateCall reports whether a call forwards taint from its
 	// arguments to its results (e.g. context.WithTimeout(ctx, d)).

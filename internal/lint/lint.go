@@ -6,9 +6,8 @@
 // (mutexdiscipline), cancellable goroutines (ctxcancel), the
 // no-blocking-under-the-world-lock callback contract (locksafe),
 // tear-free atomics discipline (atomicmix), checked hot-writer errors
-// (errsink), stable wire-format tags (wireformat), kernel arena-row
-// aliasing (arenaalias), context propagation across the serve→sim→rt
-// layering (ctxflow), seeded-replay determinism with cross-package
+// (errsink), stable wire-format tags (wireformat), context propagation
+// across the serve→sim→rt layering (ctxflow), seeded-replay determinism with cross-package
 // taint (detsource, which superseded the local-only nondet), and
 // goroutine termination, lock-acquisition order and channel ownership
 // (goleak, lockorder, chanown).
@@ -19,8 +18,8 @@
 // keeps in its build cache (load.go). Module (module.go) owns the one
 // call graph (callgraph.go: every declared function and its static
 // calls to other module functions) and computes a FuncSummary for every
-// declared function — lock safety, blocking, determinism taint, arena
-// returns, JSON-sink parameters, goroutine termination and lock
+// declared function — lock safety, blocking, determinism taint,
+// JSON-sink parameters, goroutine termination and lock
 // acquisitions — bottom-up in dependency order, closing each package's
 // facts over its own call chains; a lightweight per-function dataflow
 // pass (dataflow.go) tracks values of interest through assignments and
@@ -138,7 +137,6 @@ func All() []Analyzer {
 		AtomicMix{},
 		ErrSink{},
 		WireFormat{},
-		ArenaAlias{},
 		CtxFlow{},
 		DetSource{},
 		GoLeak{},

@@ -112,8 +112,8 @@ func findingsOf(fs []lint.Finding, analyzer string) []lint.Finding {
 
 func TestByName(t *testing.T) {
 	all, err := lint.ByName()
-	if err != nil || len(all) != 14 {
-		t.Fatalf("ByName() = %d analyzers, err %v; want 14, nil", len(all), err)
+	if err != nil || len(all) != 13 {
+		t.Fatalf("ByName() = %d analyzers, err %v; want 13, nil", len(all), err)
 	}
 	sub, err := lint.ByName("floateq", "detsource")
 	if err != nil || len(sub) != 2 {

@@ -65,10 +65,6 @@ type FuncSummary struct {
 	// and propagating past it would demand an allow at every caller.
 	// Consumed by detsource.
 	Nondet *Reach
-	// ArenaReturn marks functions whose return value aliases a
-	// kernel-arena visibility row (geom.Snapshot.Row, or any wrapper
-	// returning its result). Consumed by arenaalias.
-	ArenaReturn bool
 	// SinkParams holds the parameter indices whose values reach a JSON
 	// sink (json.Marshal / Encoder.Encode, directly or through further
 	// wrappers). Consumed by wireformat.
@@ -121,10 +117,7 @@ func NewModule(pkgs []*Package) *Module {
 					continue
 				}
 				m.funcs[p] = append(m.funcs[p], fn)
-				m.fns[fn] = &funcNode{pkg: p, decl: fd, sum: FuncSummary{
-					CtxParam:    ctxParamIndex(fn),
-					ArenaReturn: isArenaRoot(fn),
-				}}
+				m.fns[fn] = &funcNode{pkg: p, decl: fd, sum: FuncSummary{CtxParam: ctxParamIndex(fn)}}
 			}
 		}
 	}
@@ -263,25 +256,13 @@ func (m *Module) summarize(p *Package) {
 		}
 	}
 
-	// Pass 3: arena-return fixpoint — does the function return a value
-	// the dataflow pass can trace back to an arena row?
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range m.funcs[p] {
-			if s := &m.fns[fn].sum; !s.ArenaReturn && m.returnsArena(p, m.fns[fn].decl) {
-				s.ArenaReturn = true
-				changed = true
-			}
-		}
-	}
-
-	// Pass 4: JSON-sink parameter fixpoint (wireformat's wrapper
+	// Pass 3: JSON-sink parameter fixpoint (wireformat's wrapper
 	// discovery), lifted over package boundaries: a wrapper's interface
 	// parameter that reaches json.Marshal — or another wrapper's sink
 	// parameter, in this or any dependency package — is itself a sink.
 	m.computeSinkParams(p)
 
-	// Pass 5: lock-order edges. Needs the package's own Acquires (pass
+	// Pass 4: lock-order edges. Needs the package's own Acquires (pass
 	// 2) and its dependencies' (previous summarize calls); the allowed
 	// flag is resolved here, at the owning package, so dependents see
 	// which edges a //lint:allow lockorder has stopped.
@@ -370,67 +351,6 @@ func ctxParamIndex(fn *types.Func) int {
 		}
 	}
 	return -1
-}
-
-// isArenaRoot identifies the kernel's arena-returning method by
-// identity: (geom.Snapshot).Row hands out slices into a reusable arena,
-// which is the whole arenaalias contract.
-func isArenaRoot(fn *types.Func) bool { return isSnapshotMethod(fn, "Row") }
-
-// isSnapshotMethod reports whether fn is one of the named methods of
-// the kernel's geom.Snapshot.
-func isSnapshotMethod(fn *types.Func, names ...string) bool {
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Name() != "Snapshot" || fn.Pkg() == nil {
-		return false
-	}
-	if path := fn.Pkg().Path(); path != "luxvis/internal/geom" && path != "internal/geom" {
-		return false
-	}
-	return slices.Contains(names, fn.Name())
-}
-
-// arenaSourceCall reports whether call yields an arena-aliasing slice:
-// an arena root, or a module function summarized as arena-returning.
-func (m *Module) arenaSourceCall(p *Package, call *ast.CallExpr) bool {
-	fn := p.StaticCallee(call)
-	if fn == nil {
-		return false
-	}
-	if isArenaRoot(fn) {
-		return true
-	}
-	s := m.Summary(fn)
-	return s != nil && s.ArenaReturn
-}
-
-// returnsArena reports whether fd's outer-frame return statements can
-// return an arena-aliasing value.
-func (m *Module) returnsArena(p *Package, fd *ast.FuncDecl) bool {
-	st := taintLocals(taintSpec{
-		p:          p,
-		sourceCall: func(call *ast.CallExpr) bool { return m.arenaSourceCall(p, call) },
-	}, fd.Body)
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a literal's returns are its own, not fd's
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if st.tainted(res) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // computeSinkParams runs wireformat's wrapper-discovery fixpoint for

@@ -68,20 +68,6 @@ func assertIntraSilent(t *testing.T, specs []pkgSpec, a lint.Analyzer, targetFil
 	t.Fatalf("no fixture package holds %s", targetFile)
 }
 
-// geomFixture mimics the kernel's arena-handing API shape at the geom
-// import path, so isArenaRoot identifies Row by the same (package,
-// receiver, method) identity it uses on the real kernel.
-const geomFixture = `package geom
-
-type Point struct{ X, Y float64 }
-
-type Snapshot struct{ rows [][]int32 }
-
-func (s *Snapshot) Row(i int) []int32     { return s.rows[i] }
-func (s *Snapshot) Update(i int, p Point) {}
-func (s *Snapshot) Reset(n int)           {}
-`
-
 // TestLockSafeCrossPackage: a blocking operation two packages away is
 // still a locksafe violation at the lock-holding call site — and
 // invisible to the intra-package engine, which treats the call as

@@ -114,8 +114,8 @@ type EngineTotalsSnapshot struct {
 	// PhaseCycles and PhaseMoves map phase names to lifetime counts.
 	PhaseCycles map[string]int64
 	PhaseMoves  map[string]int64
-	// Visibility-kernel totals (see sim.KernelStats): rows computed
-	// from scratch versus served by incremental revalidation, CV
+	// Visibility-kernel totals (see sim.KernelStats): rows built
+	// versus served again with no move since they were built, CV
 	// evaluations, and the time both spent (nanoseconds are zero for
 	// runs without timing, i.e. when only row counters were collected).
 	VisRowsComputed int64
@@ -182,13 +182,13 @@ func (t *EngineTotals) WritePrometheus(w *TextWriter, prefix string) {
 		w.Counter(prefix+"_phase_moves_total", "Completed relocations by phase attribution.",
 			float64(t.phaseMoves[p].Load()), Label{Name: "phase", Value: p.String()})
 	}
-	w.Counter(prefix+"_vis_rows_total", "Visibility rows resolved, by path (computed from scratch or reused via incremental revalidation).",
+	w.Counter(prefix+"_vis_rows_total", "Visibility rows the engine served, by path (computed: built for the Look; reused: served again with no move since it was built).",
 		float64(t.visRowsComputed.Load()), Label{Name: "path", Value: "computed"})
-	w.Counter(prefix+"_vis_rows_total", "Visibility rows resolved, by path (computed from scratch or reused via incremental revalidation).",
+	w.Counter(prefix+"_vis_rows_total", "Visibility rows the engine served, by path (computed: built for the Look; reused: served again with no move since it was built).",
 		float64(t.visRowsReused.Load()), Label{Name: "path", Value: "reused"})
 	w.Counter(prefix+"_vis_cv_checks_total", "Complete Visibility evaluations (CV-cache misses).",
 		float64(t.visCVChecks.Load()))
-	w.Counter(prefix+"_vis_look_seconds_total", "Wall time spent computing snapshot visibility rows.",
+	w.Counter(prefix+"_vis_look_seconds_total", "Wall time spent on Look visibility rows.",
 		float64(t.visLookNanos.Load())/1e9)
 	w.Counter(prefix+"_vis_cv_seconds_total", "Wall time spent in Complete Visibility checks.",
 		float64(t.visCVNanos.Load())/1e9)

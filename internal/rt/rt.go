@@ -89,9 +89,10 @@ type world struct {
 	mu  sync.Mutex
 	pos []geom.Point
 	col []model.Color
-	// vis holds every robot's visibility row over pos. Positions change
-	// only through moveLocked, which keeps it in step.
-	vis *geom.Snapshot
+	// kern builds each Look's visibility row over pos into row, the one
+	// buffer every Look shares under mu (see rowLocked).
+	kern *geom.Kernel
+	row  []int
 
 	// changeSeq increments on every observable change (position or
 	// color); robots record the sequence at Look so the monitor can
@@ -109,13 +110,11 @@ type world struct {
 	crashed []bool
 }
 
-// newWorld returns the world at the start configuration, its visibility
-// rows held in a snapshot of kern.
+// newWorld returns the world at the start configuration, its Looks'
+// visibility rows built by kern.
 func newWorld(kern *geom.Kernel, start []geom.Point) *world {
 	n := len(start)
 	pos := append([]geom.Point(nil), start...)
-	vis := kern.NewSnapshot()
-	vis.Reset(pos)
 	cleanLookSeq := make([]uint64, n)
 	for i := range cleanLookSeq {
 		cleanLookSeq[i] = ^uint64(0) // never looked
@@ -123,7 +122,7 @@ func newWorld(kern *geom.Kernel, start []geom.Point) *world {
 	return &world{
 		pos:          pos,
 		col:          make([]model.Color, n),
-		vis:          vis,
+		kern:         kern,
 		cleanLookSeq: cleanLookSeq,
 		inFlight:     make([]bool, n),
 		cycles:       make([]int, n),
@@ -132,11 +131,18 @@ func newWorld(kern *geom.Kernel, start []geom.Point) *world {
 }
 
 // moveLocked places robot id at p; the caller holds w.mu. It is the only
-// position write, so the visibility snapshot never goes stale.
+// position write.
 func (w *world) moveLocked(id int, p geom.Point) {
 	w.pos[id] = p
-	w.vis.Update(id, p)
 	w.changeSeq++
+}
+
+// rowLocked returns robot id's visibility row over the current
+// positions; the caller holds w.mu and is done with the row before it
+// releases the lock, since the next Look rebuilds the same buffer.
+func (w *world) rowLocked(id int) []int {
+	w.row = w.kern.VisibleRow(w.row, w.pos, id)
+	return w.row
 }
 
 // Run executes algo from start with one goroutine per robot and returns
@@ -302,7 +308,7 @@ func robotLoop(ctx context.Context, w *world, algo model.Algorithm, id int, rng 
 		// locksafe-clean under the world lock.
 		w.mu.Lock()
 		lookSeq := w.changeSeq
-		snap := sim.Look(others, id, myCycles, w.vis.Row(id), false, w.pos, w.col, jitter, nil)
+		snap := sim.Look(others, id, myCycles, w.rowLocked(id), false, w.pos, w.col, jitter, nil)
 		w.mu.Unlock()
 		others = snap.Others
 

@@ -11,8 +11,8 @@ import (
 // TestWorldLookTracksMoves drives robots through moveLocked in the move
 // loop's sub-steps and checks, after every position write, that every
 // robot's Look equals the VisibleFrom oracle over the current positions.
-// A write that bypassed the world's visibility snapshot would surface
-// here as a stale row.
+// A row built from anything but the world's current positions would
+// surface here.
 func TestWorldLookTracksMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// A 4x4 lattice: rows, columns and diagonals make many blocked pairs
@@ -49,7 +49,7 @@ func TestWorldLookTracksMoves(t *testing.T) {
 				t.Fatalf("move %d: changeSeq %d -> %d, want one bump", move, seq, w.changeSeq)
 			}
 			for r := 0; r < n; r++ {
-				snap := sim.Look(nil, r, 0, w.vis.Row(r), false, w.pos, w.col, sim.Jitter{}, nil)
+				snap := sim.Look(nil, r, 0, w.rowLocked(r), false, w.pos, w.col, sim.Jitter{}, nil)
 				want := geom.VisibleFrom(w.pos, r)
 				if snap.Self.Pos != w.pos[r] || len(snap.Others) != len(want) {
 					t.Fatalf("move %d step %d robot %d: Look sees %d robots from %v, oracle %v from %v",

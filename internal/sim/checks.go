@@ -276,11 +276,6 @@ func (e *engine) finish() {
 		e.flushInFlightMoves()
 	}
 	e.res.Epochs = e.epochs
-	if e.vsnap != nil {
-		s := e.vsnap.Stats()
-		e.res.Kernel.RowsComputed = s.RowsComputed
-		e.res.Kernel.RowsReused = s.RowsReused
-	}
 	if s, ok := e.opt.Scheduler.(*sched.SSync); ok {
 		e.res.Rounds = s.Rounds()
 	}

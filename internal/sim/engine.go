@@ -230,35 +230,34 @@ type Result struct {
 	Kernel KernelStats
 }
 
-// KernelStats summarizes the batched visibility kernel's work during a
-// run: how many rows each Look resolved from scratch versus revalidated
-// incrementally, and where the geometry time went. The nanosecond
-// counters are collected only when an Observer is attached — the
-// benchmark path (nil Observer) pays no clock reads.
+// KernelStats summarizes the visibility kernel's work during a run: how
+// many rows the engine built and how many it served again unchanged,
+// and where the geometry time went. The nanosecond counters are
+// collected only when an Observer is attached — the benchmark path (nil
+// Observer) pays no clock reads.
 //
-// The row counters are diagnostics of the engine's own incremental
-// snapshot, which serves inline Looks and the survivor Complete
-// Visibility reads of crash runs. They count only the rows that
-// snapshot computed or revalidated: a Look taken while the world is
-// known to be completely visible sees every other robot without a row
-// and counts none. A pipelined run (see pipeline.go) builds its Looks'
-// rows on the compute workers and counts none of them either, and
-// whether a run pipelines depends on GOMAXPROCS and on the runs in
-// flight, not on the run's inputs. So two runs of the same inputs may
-// report different row counters; every other field of the Result is
-// the same, sensor jitter included.
+// The row counters count the engine's own rows (see engine.row), which
+// serve inline Looks and the survivor Complete Visibility reads of
+// crash runs; for an inline run they are a function of the run's
+// inputs. A Look taken while the world is known to be completely
+// visible sees every other robot without a row and counts none. A
+// pipelined run (see pipeline.go) builds its Looks' rows on the compute
+// workers and counts none of them either, and whether a run pipelines
+// depends on GOMAXPROCS and on the runs in flight, not on the run's
+// inputs. So two runs of the same inputs may report different row
+// counters; every other field of the Result is the same, sensor jitter
+// included.
 type KernelStats struct {
-	// RowsComputed counts visibility rows computed from scratch.
+	// RowsComputed counts visibility rows built with Kernel.VisibleRow.
 	RowsComputed int64
-	// RowsReused counts rows served by incremental revalidation — the
-	// moves since the row's last computation were angularly isolated
-	// from it, so the cached row is provably still exact.
+	// RowsReused counts rows served again because no robot had moved
+	// since the row was built.
 	RowsReused int64
 	// CVChecks counts Complete Visibility evaluations (cache misses of
 	// the per-world-version CV cache), also those answered without a
 	// scan because the world is known to be completely visible.
 	CVChecks int64
-	// LookNanos and CVNanos are the wall time spent in snapshot rows
+	// LookNanos and CVNanos are the wall time spent in Look rows
 	// and CV checks (zero without an Observer).
 	LookNanos int64
 	CVNanos   int64
@@ -304,17 +303,19 @@ type engine struct {
 	ctxErr error
 
 	pos []geom.Point
-	// vk and vsnap are the run's visibility kernel and its batched
-	// snapshot; vsnap mirrors pos (kept in sync at the single write site
-	// in doMoveStep) so inline Looks and survivor CV checks read
-	// arena-backed rows without allocating.
-	vk    *geom.Kernel
-	vsnap *geom.Snapshot
-	col   []model.Color
-	st    []sched.Status
-	snap  []model.Snapshot
-	act   []model.Action
-	plan  []movePlan
+	// vk is the run's visibility kernel. rows[r] is robot r's last
+	// visibility row, built at position generation rowGen[r]. posGen
+	// starts at 1 and doMoveStep, the one position write, bumps it, so a
+	// row whose rowGen equals posGen is current (see row).
+	vk     *geom.Kernel
+	rows   [][]int
+	rowGen []uint64
+	posGen uint64
+	col    []model.Color
+	st     []sched.Status
+	snap   []model.Snapshot
+	act    []model.Action
+	plan   []movePlan
 
 	palette map[model.Color]bool
 
@@ -461,6 +462,9 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 		obs:           opt.Observer,
 		rng:           rand.New(rand.NewSource(opt.Seed)),
 		pos:           append([]geom.Point(nil), start...),
+		rows:          make([][]int, n),
+		rowGen:        make([]uint64, n),
+		posGen:        1,
 		col:           make([]model.Color, n),
 		st:            make([]sched.Status, n),
 		snap:          make([]model.Snapshot, n),
@@ -489,8 +493,6 @@ func RunCtx(ctx context.Context, algo model.Algorithm, start []geom.Point, opt O
 	e.colorMask = 1 << uint(model.Off)
 	e.vk = geom.NewKernel(0)
 	defer e.vk.Close()
-	e.vsnap = e.vk.NewSnapshot()
-	e.vsnap.Reset(e.pos)
 	e.res = Result{
 		Algorithm:    algo.Name(),
 		Scheduler:    opt.Scheduler.Name(),
@@ -601,8 +603,7 @@ func (e *engine) doLook(r int) {
 // look builds robot r's snapshot in the backing array of r's previous
 // Others, which no Compute still reads: r's last Compute returned before
 // its Compute event. While the world is known to be completely visible r
-// sees every other robot; otherwise its row comes from the incremental
-// snapshot.
+// sees every other robot; otherwise it sees its row (see row).
 func (e *engine) look(r int) {
 	var t0 time.Time
 	if e.obs != nil {
@@ -612,13 +613,29 @@ func (e *engine) look(r int) {
 	all := e.knownCV()
 	var row []int
 	if !all {
-		row = e.vsnap.Row(r)
+		row = e.row(r)
 	}
 	if e.obs != nil {
 		//lint:allow detsource observer-gated timing counter; never influences control flow
 		e.res.Kernel.LookNanos += time.Since(t0).Nanoseconds()
 	}
 	e.snap[r] = Look(e.snap[r].Others, r, e.st[r].Cycles, row, all, e.pos, e.col, e.jitter, e.world)
+}
+
+// row returns robot r's visibility row over the current positions. It
+// rebuilds the row into r's own buffer only when a robot has moved since
+// it was built; otherwise it serves the row again, which a robot that
+// looks after mere light changes does. The row stays valid until the
+// next row(r).
+func (e *engine) row(r int) []int {
+	if e.rowGen[r] == e.posGen {
+		e.res.Kernel.RowsReused++
+		return e.rows[r]
+	}
+	e.rows[r] = e.vk.VisibleRow(e.rows[r], e.pos, r)
+	e.rowGen[r] = e.posGen
+	e.res.Kernel.RowsComputed++
+	return e.rows[r]
 }
 
 // knownCV reports whether the current positions are known to be
@@ -749,12 +766,12 @@ func (e *engine) doMoveStep(r int) {
 	}
 	p.lastStep = e.now
 	e.pos[r] = next
+	e.posGen++
 	e.world = nil
 	if e.cvKnown && !e.unchecked[r] {
 		e.unchecked[r] = true
 		e.numUnchecked++
 	}
-	e.vsnap.Update(r, next)
 	if e.idx != nil {
 		e.idx.Move(r, next)
 	}

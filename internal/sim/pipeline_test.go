@@ -211,11 +211,11 @@ func TestPipelinedComputeMatchesInline(t *testing.T) {
 }
 
 // checkRowCounts pins the row counters of a pipelined run against the
-// inline run of the same seed. The counters are the engine snapshot's
-// (see KernelStats): a pipelined run reads it only for the survivor
-// Complete Visibility checks of crash runs, a subset of the inline
-// run's reads of the same snapshot at the same versions, so it counts
-// no rows without crashes and never more than the inline run.
+// inline run of the same seed. The counters count the engine's own
+// rows (see KernelStats), one per read: a pipelined run reads them only
+// for the survivor Complete Visibility checks of crash runs, a subset of
+// the inline run's reads at the same events, so it counts no rows
+// without crashes and never more than the inline run.
 func checkRowCounts(t *testing.T, inline, piped Result) {
 	t.Helper()
 	pk, ik := piped.Kernel, inline.Kernel

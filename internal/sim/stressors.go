@@ -200,12 +200,11 @@ func (e *engine) isCrashed(i int) bool {
 
 // survivorCV evaluates the crash-fault terminal predicate on the
 // current world: every pair of surviving robots is mutually visible,
-// with crashed robots still acting as obstructions. It reads the
-// batched snapshot's rows, so the incremental revalidation path is
-// shared with Look.
+// with crashed robots still acting as obstructions. It reads the same
+// rows as the inline Looks (see row).
 func (e *engine) survivorCV() bool {
 	for _, i := range e.aliveIdx {
-		row := e.vsnap.Row(i)
+		row := e.row(i)
 		k := 0
 		for _, j := range e.aliveIdx {
 			if j == i {

@@ -71,39 +71,10 @@ func CompleteVisibility(pts []Point) bool { return exact.CompleteVisibilityHybri
 func StrictlyConvexPosition(pts []Point) bool { return geom.StrictlyConvexPosition(pts) }
 
 // VisibleSet returns the indices of the robots visible from pts[i]
-// under obstructed visibility, in O(n log n), computing the row from
-// scratch. For an evolving configuration prefer a VisibilitySnapshot,
-// which computes identical rows without allocating and reuses the rows a
-// move cannot affect.
+// under obstructed visibility, in O(n log n), sorted by index. Each call
+// computes the row from scratch and allocates its own scratch; the
+// engine builds the same rows with a reused arena.
 func VisibleSet(pts []Point, i int) []int { return geom.VisibleSetFast(pts, i) }
-
-// ---------------------------------------------------------------------
-// Visibility kernel
-
-// VisibilityKernel batches visibility computation: it owns per-worker
-// arenas and fans full-snapshot passes out across cores. Close it when
-// done. The engine creates one per run internally; construct one
-// directly to drive VisibilitySnapshot or the batched Complete
-// Visibility check yourself.
-type VisibilityKernel = geom.Kernel
-
-// NewVisibilityKernel returns a kernel with the given worker count
-// (≤ 0 selects the host's core count).
-func NewVisibilityKernel(workers int) *VisibilityKernel { return geom.NewKernel(workers) }
-
-// VisibilitySnapshot is a kernel-backed view of all N visible sets of
-// one evolving configuration: rows are computed on demand, reused
-// arenas make the steady state allocation-free, and after a single-
-// robot Update only the rows the move can affect are recomputed.
-type VisibilitySnapshot = geom.Snapshot
-
-// VisibilitySnapshotStats reports a snapshot's computed-versus-reused
-// row counters.
-type VisibilitySnapshotStats = geom.SnapshotStats
-
-// KernelStats summarizes the visibility kernel's work during an engine
-// run (see Result.Kernel).
-type KernelStats = sim.KernelStats
 
 // ---------------------------------------------------------------------
 // Model
@@ -204,6 +175,10 @@ type Options = sim.Options
 
 // Result reports a simulation run.
 type Result = sim.Result
+
+// KernelStats summarizes the visibility kernel's work during an engine
+// run (see Result.Kernel).
+type KernelStats = sim.KernelStats
 
 // DefaultOptions returns runnable Options for the given scheduler and
 // seed.
