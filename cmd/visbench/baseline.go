@@ -17,6 +17,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"time"
 )
 
 // checkBaselineSizes is the visibility subset the gate re-measures:
@@ -25,6 +27,13 @@ var checkBaselineSizes = []int{64, 256}
 
 // checkBaselineSubs is the stream fan-out subset.
 var checkBaselineSubs = []int{1, 64}
+
+// streamGateRounds is how many rounds the stream half of the gate
+// measures. Each round runs the bare engine once and then the hub once
+// per checkBaselineSubs count, and the ratio judged is the median hub
+// time over the median bare time. (One bare run against a best-of-3
+// hub run swung past the tolerance between runs of one commit.)
+const streamGateRounds = 11
 
 // compareVisibility checks fresh visibility rows against the baseline
 // report, returning one human-readable issue per regression. Two
@@ -60,8 +69,9 @@ func compareVisibility(base *VisBenchReport, fresh []VisBenchRow, tol float64) [
 
 // compareStream checks fresh fan-out rows against the baseline report.
 // The transferable quantity is the overhead ratio engineNs/baselineNs
-// (hub attached vs bare run, same host, same moment); a fresh ratio
-// more than tol above the baseline's is a regression.
+// (hub attached vs bare run, same host, same moment; the gate passes
+// the medians of measureStreamGate's rounds); a fresh ratio more than
+// tol above the baseline's is a regression.
 func compareStream(base *StreamBenchReport, freshBaselineNs int64, fresh []StreamBenchRow, tol float64) []string {
 	if base.BaselineNs <= 0 || freshBaselineNs <= 0 {
 		return []string{"stream: baseline run measured no wall time; cannot compare"}
@@ -86,6 +96,39 @@ func compareStream(base *StreamBenchReport, freshBaselineNs int64, fresh []Strea
 		}
 	}
 	return issues
+}
+
+// measureStreamGate runs the stream half's alternated rounds and
+// returns the median bare run time and one row per checkBaselineSubs
+// count carrying its median hub run time.
+func measureStreamGate() (bareNs int64, rows []StreamBenchRow, err error) {
+	bare := make([]time.Duration, 0, streamGateRounds)
+	hub := make([][]time.Duration, len(checkBaselineSubs))
+	for round := 0; round < streamGateRounds; round++ {
+		d, err := streamBenchRun(nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		bare = append(bare, d)
+		for i, subs := range checkBaselineSubs {
+			r, err := streamHubRun(subs)
+			if err != nil {
+				return 0, nil, err
+			}
+			hub[i] = append(hub[i], r.engine)
+		}
+	}
+	for i, subs := range checkBaselineSubs {
+		rows = append(rows, StreamBenchRow{Subscribers: subs, EngineNs: medianDuration(hub[i]).Nanoseconds()})
+	}
+	return medianDuration(bare).Nanoseconds(), rows, nil
+}
+
+// medianDuration returns the median of ds (the upper middle for an even
+// count), reordering ds.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // loadBaseline reads one checked-in report.
@@ -134,21 +177,12 @@ func runCheckBaseline(visPath, streamPath string, tol float64, stdout io.Writer)
 		fmt.Fprintf(stdout, "visbench: check-baseline: skipping %s (recorded on %d CPU(s), this host has %d; ratios do not transfer)\n",
 			streamPath, strBase.Host.NumCPU, runtime.NumCPU())
 	} else {
-		baseDur, err := streamBenchRun(nil)
+		bareNs, rows, err := measureStreamGate()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "visbench: check-baseline: %v\n", err)
 			return 2
 		}
-		var rows []StreamBenchRow
-		for _, subs := range checkBaselineSubs {
-			row, err := streamBenchCell(subs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "visbench: check-baseline: %v\n", err)
-				return 2
-			}
-			rows = append(rows, row)
-		}
-		issues = append(issues, compareStream(&strBase, baseDur.Nanoseconds(), rows, tol)...)
+		issues = append(issues, compareStream(&strBase, bareNs, rows, tol)...)
 		checked++
 	}
 

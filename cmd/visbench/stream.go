@@ -84,56 +84,73 @@ func streamBenchRun(observer sim.Observer) (time.Duration, error) {
 	return time.Since(start), err
 }
 
-// streamBenchCell measures one subscriber count: attach a hub, fan out
-// to subs draining subscribers, run the engine, wait for the drains.
+// hubRun is one engine run observed by a stream hub.
+type hubRun struct {
+	engine, drain time.Duration
+	frames        int64
+	encodeNanos   int64
+	dropped       int64
+}
+
+// streamHubRun runs the canonical scenario once with a hub attached and
+// fanned out to subs draining subscribers, and waits for the drains.
+func streamHubRun(subs int) (hubRun, error) {
+	var ctr stream.Counters
+	hub := stream.NewHub(stream.HubOptions{Counters: &ctr})
+	var wg sync.WaitGroup
+	ctx := context.Background()
+	subscribers := make([]*stream.Subscriber, subs)
+	for i := 0; i < subs; i++ {
+		s := hub.Subscribe(0)
+		subscribers[i] = s
+		wg.Add(1)
+		go func(s *stream.Subscriber) {
+			defer wg.Done()
+			for {
+				if _, err := s.Next(ctx); err != nil {
+					return
+				}
+			}
+		}(s)
+	}
+	start := time.Now()
+	engineDur, err := streamBenchRun(hub)
+	if err != nil {
+		return hubRun{}, err
+	}
+	wg.Wait()
+	r := hubRun{engine: engineDur, drain: time.Since(start)}
+	snap := ctr.Snapshot()
+	r.frames, r.encodeNanos = snap.FramesTotal, snap.EncodeNanos
+	for _, s := range subscribers {
+		r.dropped += int64(s.Dropped())
+		s.Close()
+	}
+	hub.Release()
+	return r, nil
+}
+
+// streamBenchCell measures one subscriber count: the fastest of
+// streamBenchIters hub runs.
 func streamBenchCell(subs int) (StreamBenchRow, error) {
 	row := StreamBenchRow{Subscribers: subs}
-	var bestEngine, bestDrain time.Duration
+	var best hubRun
 	for iter := 0; iter < streamBenchIters; iter++ {
-		var ctr stream.Counters
-		hub := stream.NewHub(stream.HubOptions{Counters: &ctr})
-		var wg sync.WaitGroup
-		ctx := context.Background()
-		subscribers := make([]*stream.Subscriber, subs)
-		for i := 0; i < subs; i++ {
-			s := hub.Subscribe(0)
-			subscribers[i] = s
-			wg.Add(1)
-			go func(s *stream.Subscriber) {
-				defer wg.Done()
-				for {
-					if _, err := s.Next(ctx); err != nil {
-						return
-					}
-				}
-			}(s)
-		}
-		start := time.Now()
-		engineDur, err := streamBenchRun(hub)
+		r, err := streamHubRun(subs)
 		if err != nil {
 			return row, err
 		}
-		wg.Wait()
-		drainDur := time.Since(start)
-		snap := ctr.Snapshot()
-		var dropped int64
-		for _, s := range subscribers {
-			dropped += int64(s.Dropped())
-			s.Close()
-		}
-		hub.Release()
-		if iter == 0 || engineDur < bestEngine {
-			bestEngine = engineDur
-			bestDrain = drainDur
-			row.Frames = snap.FramesTotal
-			row.Dropped = dropped
-			if snap.FramesTotal > 0 {
-				row.EncodeNsPerFrame = snap.EncodeNanos / snap.FramesTotal
-			}
+		if iter == 0 || r.engine < best.engine {
+			best = r
 		}
 	}
-	row.EngineNs = bestEngine.Nanoseconds()
-	row.DrainNs = bestDrain.Nanoseconds()
+	row.EngineNs = best.engine.Nanoseconds()
+	row.DrainNs = best.drain.Nanoseconds()
+	row.Frames = best.frames
+	row.Dropped = best.dropped
+	if best.frames > 0 {
+		row.EncodeNsPerFrame = best.encodeNanos / best.frames
+	}
 	return row, nil
 }
 

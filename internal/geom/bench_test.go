@@ -87,6 +87,48 @@ func BenchmarkCompleteVisibilityFast(b *testing.B) {
 	}
 }
 
+// BenchmarkClearAround measures the per-move check of a warm 1-worker
+// kernel, cycling the moved point over the set, on uniform and circle
+// points (every point a hull corner: the late CircleVis phase). A warm
+// call must not allocate; TestKernelZeroAllocSteadyState guards the
+// same at the sizes the engine workloads run. On the 2048-point circle,
+// 26 points have a neighbour so close that their fold tolerance is
+// undefined, and checking one of them confirms every pair: those
+// quadratic checks set that cell's mean.
+func BenchmarkClearAround(b *testing.B) {
+	for _, n := range []int{64, 512, 2048} {
+		inputs := []struct {
+			name string
+			pts  []Point
+		}{
+			{sizeName(n), benchPoints(n, 6)},
+			{sizeName(n) + "-circle", benchCirclePoints(n, 6)},
+		}
+		for _, in := range inputs {
+			b.Run(in.name, func(b *testing.B) {
+				kern := NewKernel(1)
+				defer kern.Close()
+				m := 0
+				step := func() {
+					if !kern.ClearAround(in.pts, m) {
+						b.Fatalf("ClearAround(%d) fails on %s", m, in.name)
+					}
+					m = (m + 1) % n
+				}
+				step()
+				if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+					b.Fatalf("warm ClearAround allocates %.1f times per call, want 0", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkMinEnclosingCircle(b *testing.B) {
 	pts := benchPoints(512, 4)
 	b.ReportAllocs()

@@ -1,22 +1,23 @@
 package geom
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // This file implements the per-observer folded-direction scan behind the
-// O(n² log n) Complete Visibility check (Kernel.CompleteVisibilityFast)
-// the engine runs at epoch boundaries, where the naive O(n³) predicate
-// would dominate the run time at swarm sizes in the thousands, and behind
-// the exact checker's candidate filter (CollinearCandidates).
+// Complete Visibility check (Kernel.CompleteVisibilityFast) the engine
+// runs at epoch boundaries, where the naive O(n³) predicate would
+// dominate the run time at swarm sizes in the thousands, behind the
+// per-move check Kernel.ClearAround, and behind the exact checker's
+// candidate filter (CollinearCandidates).
 //
 // The key observation: Complete Visibility fails iff some robot k has two
 // other robots collinear with it — if i and j lie on one line through k,
 // then either k is between them (k blocks the pair i,j) or one of i,j is
 // between k and the other (it blocks that pair). So CV ⟺ for every k,
 // the directions of all other robots from k, folded modulo π, are
-// pairwise distinct. Folding and sorting gives O(n log n) per robot.
+// pairwise distinct. Folding and sorting them with raySort, the bucket
+// sort the visibility row uses, takes linear expected time per robot;
+// directions too clustered for the buckets fall back to the O(n log n)
+// comparison sort.
 
 // angleFoldTol is the floor of the angular tolerance for treating two
 // folded directions as collinear candidates. Candidates are confirmed
@@ -79,7 +80,7 @@ func CollinearCandidates(pts []Point, tol float64, visit func(Triple) (stop bool
 	if tol <= 0 {
 		tol = angleFoldTol
 	}
-	dirs := make([]dir, 0, len(pts))
+	var s raySort
 	k := 0
 	emit := func(a, b int, confirmable bool) bool {
 		if confirmable {
@@ -88,30 +89,24 @@ func CollinearCandidates(pts []Point, tol float64, visit func(Triple) (stop bool
 		return visit(Triple{A: k, B: a, Blocker: b})
 	}
 	for ; k < len(pts); k++ {
-		var stop bool
-		if dirs, stop = collinearObserver(pts, k, tol, dirs, emit); stop {
+		if collinearObserver(pts, k, tol, &s, emit) {
 			return true
 		}
 	}
 	return false
 }
 
-// dir is one folded direction from a scan observer.
-type dir struct {
-	phi float64 // pseudo-angle folded to [0, 2), i.e. direction mod π
-	idx int
-}
-
 // collinearObserver scans a single observer k: it folds the directions of
-// all other points modulo π, clusters them circularly (the runs near 0
-// and near π chain across the fold, mirroring the ±π branch cut handling
-// of visibleRow), and calls emit for every pair within a run. Degenerate
-// pairs (coincident with k) and observers whose adaptive tolerance
-// blows past maxFoldTol emit with confirmable=false / all pairs
-// respectively. dirs is reusable caller-owned scratch. A true return
-// from emit stops the scan and propagates.
-func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit func(a, b int, confirmable bool) bool) ([]dir, bool) {
-	dirs = dirs[:0]
+// all other points modulo π, sorts them by (angle, idx) with raySort,
+// clusters them circularly (the runs near 0 and near π chain across the
+// fold, mirroring the ±π branch cut handling of visibleRow), and calls
+// emit for every pair within a run. Degenerate pairs (coincident with k)
+// and observers whose adaptive tolerance blows past maxFoldTol emit with
+// confirmable=false / all pairs respectively. s is reusable
+// caller-owned scratch. A true return from emit stops the scan and
+// propagates.
+func collinearObserver(pts []Point, k int, floorTol float64, s *raySort, emit func(a, b int, confirmable bool) bool) bool {
+	dirs := s.rays(len(pts))
 	minD2 := math.Inf(1)
 	maxL1 := 0.0
 	for j := range pts {
@@ -124,7 +119,7 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 			// Coincident points: report as a degenerate pair so callers
 			// fail the configuration.
 			if emit(j, j, false) {
-				return dirs, true
+				return true
 			}
 			continue
 		}
@@ -135,7 +130,7 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		if phi >= 2 {
 			phi -= 2
 		}
-		dirs = append(dirs, dir{phi: phi, idx: j})
+		dirs = append(dirs, ray{theta: phi, idx: j})
 		if d2 < minD2 {
 			minD2 = d2
 		}
@@ -144,7 +139,7 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		}
 	}
 	if len(dirs) < 2 {
-		return dirs, false
+		return false
 	}
 	tol, ok := foldTol(minD2, maxL1)
 	if !ok {
@@ -153,25 +148,16 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		for a := 0; a < len(dirs); a++ {
 			for b := a + 1; b < len(dirs); b++ {
 				if emit(dirs[a].idx, dirs[b].idx, true) {
-					return dirs, true
+					return true
 				}
 			}
 		}
-		return dirs, false
+		return false
 	}
 	if tol < floorTol {
 		tol = floorTol
 	}
-	slices.SortFunc(dirs, func(a, b dir) int {
-		switch {
-		case a.phi < b.phi:
-			return -1
-		case a.phi > b.phi:
-			return 1
-		default:
-			return 0
-		}
-	})
+	dirs = s.sort(dirs, 0, 2)
 	// Cluster the sorted folded pseudo-angles into circular runs of
 	// near-equal direction and emit every pair within a run:
 	// adjacent-only comparison could miss a collinear pair separated by
@@ -183,9 +169,9 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 	m := len(dirs)
 	gapAfter := func(j int) float64 {
 		if j == m-1 {
-			return dirs[0].phi + 2 - dirs[m-1].phi
+			return dirs[0].theta + 2 - dirs[m-1].theta
 		}
-		return dirs[j+1].phi - dirs[j].phi
+		return dirs[j+1].theta - dirs[j].theta
 	}
 	start := -1
 	for j := 0; j < m; j++ {
@@ -199,11 +185,11 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		for a := 0; a < m; a++ {
 			for b := a + 1; b < m; b++ {
 				if emit(dirs[a].idx, dirs[b].idx, true) {
-					return dirs, true
+					return true
 				}
 			}
 		}
-		return dirs, false
+		return false
 	}
 	for consumed, lo := 0, start; consumed < m; {
 		runLen := 1
@@ -213,12 +199,12 @@ func collinearObserver(pts []Point, k int, floorTol float64, dirs []dir, emit fu
 		for a := 0; a < runLen; a++ {
 			for b := a + 1; b < runLen; b++ {
 				if emit(dirs[(lo+a)%m].idx, dirs[(lo+b)%m].idx, true) {
-					return dirs, true
+					return true
 				}
 			}
 		}
 		consumed += runLen
 		lo = (lo + runLen) % m
 	}
-	return dirs, false
+	return false
 }

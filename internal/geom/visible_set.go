@@ -5,15 +5,6 @@ import (
 	"slices"
 )
 
-// ray is one direction from an observer to another point: the
-// pseudo-angle of the offset, the squared distance, and the target's
-// index.
-type ray struct {
-	theta float64 // pseudo-angle in [-2, 2], see pseudoAngle
-	dist2 float64
-	idx   int
-}
-
 // pseudoAngle maps direction d to a monotone stand-in for its polar
 // angle: the position of d on the diamond |x|+|y| = 1, in [-2, 2],
 // strictly increasing with Atan2(d.Y, d.X) and hitting ±2 at the
@@ -30,49 +21,62 @@ func pseudoAngle(d Point) float64 {
 	return 1 - r // upper half plane (incl. ±0): [0, 2]
 }
 
-// rowArena is the reusable scratch of one visibility-row computation.
-// Buffers grow to the swarm size once and are reused thereafter, so a
-// warm arena computes rows without allocating.
-type rowArena struct {
-	rays []ray
-	tmp  []ray   // bucket-sort scatter target, swapped with rays
-	cnt  []int32 // bucket-sort counters
-	run  []ray   // scratch for runs that wrap across the branch cut
-	mask []byte  // per-point visible flags, emitted in index order
+// ray is one direction from an observer to another point: an angular
+// key and the target's index. A visibility row keys its rays by
+// pseudoAngle, in [-2, 2]; the folded-direction scan keys them by the
+// pseudo-angle folded modulo π, in [0, 2).
+type ray struct {
+	theta float64
+	idx   int
 }
 
-// sortRays sorts a.rays by (theta, dist2). Large ray sets use a bucket
-// sort over the pseudo-angle range: directions from an observer are
-// near-uniform in practice, so buckets hold O(1) rays and the sort runs
-// in linear time; pathological bucket skew falls back to the comparison
-// sort. The sorted order — all the downstream clustering sees — is
-// identical either way.
-func (a *rowArena) sortRays() {
-	rays := a.rays
+// raySort is the scratch of the angular sort shared by the visibility
+// row and the folded-direction scan: one buffer of 2n rays, whose front
+// half the caller fills and whose back half the bucket sort scatters
+// into, and the bucket counters. Once grown to the swarm size it sorts
+// without allocating.
+type raySort struct {
+	buf []ray
+	cnt []int32
+}
+
+// rays returns an empty slice with room for n rays at the front of the
+// buffer; fill it and hand it to sort.
+func (s *raySort) rays(n int) []ray {
+	if cap(s.buf) < 2*n {
+		s.buf = make([]ray, 2*n)
+	}
+	return s.buf[:0]
+}
+
+// sort orders rays, filled into the slice rays returned and keyed in
+// [from, from+span], by (theta, idx) and returns them: in place, or in
+// the buffer's back half. Sets of 48 or more use a bucket sort over the key
+// range: directions from an observer are near-uniform in practice, so
+// buckets hold O(1) rays and the sort runs in linear time; pathological
+// bucket skew (clustered configurations) falls back to the comparison
+// sort, as do small sets. (theta, idx) is a total order, so the sorted
+// order — all the downstream clustering sees — is the same either way,
+// and a function of the input alone.
+func (s *raySort) sort(rays []ray, from, span float64) []ray {
 	n := len(rays)
 	if n < 48 {
-		sortRaysCmp(rays)
-		return
+		slices.SortFunc(rays, rayCmp)
+		return rays
 	}
 	nb := 1
 	for nb < n && nb < 1<<16 {
 		nb <<= 1
 	}
-	if cap(a.cnt) < nb+1 {
-		a.cnt = make([]int32, nb+1)
+	if cap(s.cnt) < nb+1 {
+		s.cnt = make([]int32, nb+1)
 	}
-	cnt := a.cnt[:nb+1]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	if cap(a.tmp) < n {
-		a.tmp = make([]ray, n)
-	}
-	tmp := a.tmp[:n]
-	scale := float64(nb) / 4
+	cnt := s.cnt[:nb+1]
+	clear(cnt)
+	scale := float64(nb) / span
 	bucketOf := func(theta float64) int {
-		v := (theta + 2) * scale
-		if !(v > 0) { // negative or a NaN pseudo-angle
+		v := (theta - from) * scale
+		if !(v > 0) { // below the range or a NaN key
 			return 0
 		}
 		c := int(v)
@@ -92,12 +96,13 @@ func (a *rowArena) sortRays() {
 	if maxBucket > 64 {
 		// Heavily skewed directions (clustered configurations): the
 		// per-bucket insertion sorts would go quadratic.
-		sortRaysCmp(rays)
-		return
+		slices.SortFunc(rays, rayCmp)
+		return rays
 	}
 	for c := 1; c < len(cnt); c++ {
 		cnt[c] += cnt[c-1]
 	}
+	tmp := s.buf[n : 2*n]
 	for i := range rays {
 		c := bucketOf(rays[i].theta)
 		tmp[cnt[c]] = rays[i]
@@ -110,37 +115,33 @@ func (a *rowArena) sortRays() {
 	for c := 0; c < nb; c++ {
 		hi := cnt[c]
 		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && rayLess(tmp[j], tmp[j-1]); j-- {
+			for j := i; j > lo && rayCmp(tmp[j], tmp[j-1]) < 0; j-- {
 				tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
 			}
 		}
 		lo = hi
 	}
-	a.rays, a.tmp = tmp, rays
+	return tmp
 }
 
-func rayLess(x, y ray) bool {
-	if x.theta != y.theta {
-		return x.theta < y.theta
+// rayCmp orders rays by (theta, idx).
+func rayCmp(x, y ray) int {
+	switch {
+	case x.theta < y.theta:
+		return -1
+	case x.theta > y.theta:
+		return 1
 	}
-	return x.dist2 < y.dist2
+	return x.idx - y.idx
 }
 
-func sortRaysCmp(rays []ray) {
-	slices.SortFunc(rays, func(x, y ray) int {
-		switch {
-		case x.theta < y.theta:
-			return -1
-		case x.theta > y.theta:
-			return 1
-		case x.dist2 < y.dist2:
-			return -1
-		case x.dist2 > y.dist2:
-			return 1
-		default:
-			return 0
-		}
-	})
+// rowArena is the reusable scratch of one visibility-row computation.
+// Buffers grow to the swarm size once and are reused thereafter, so a
+// warm arena computes rows without allocating.
+type rowArena struct {
+	sort raySort
+	run  []ray  // scratch for runs that wrap across the branch cut
+	mask []byte // per-point visible flags, emitted in index order
 }
 
 // visibleRow computes the visible set of pts[i] into out (which is
@@ -150,7 +151,7 @@ func sortRaysCmp(rays []ray) {
 // identical outputs regardless of which entry point or arena is used.
 func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 	self := pts[i]
-	rays := a.rays[:0]
+	rays := a.sort.rays(len(pts))
 	minD2 := math.Inf(1)
 	maxL1 := 0.0
 	for j, p := range pts {
@@ -162,7 +163,7 @@ func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 		if d2 == 0 {
 			continue // coincident: not visible
 		}
-		rays = append(rays, ray{theta: pseudoAngle(d), dist2: d2, idx: j})
+		rays = append(rays, ray{theta: pseudoAngle(d), idx: j})
 		if d2 < minD2 {
 			minD2 = d2
 		}
@@ -170,7 +171,6 @@ func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 			maxL1 = l1
 		}
 	}
-	a.rays = rays
 	out = out[:0]
 	if len(rays) == 0 {
 		return out
@@ -184,8 +184,7 @@ func (a *rowArena) visibleRow(pts []Point, i int, out []int) []int {
 	for j := range mask {
 		mask[j] = 0
 	}
-	a.sortRays()
-	rays = a.rays
+	rays = a.sort.sort(rays, -2, 4)
 
 	tol, ok := foldTol(minD2, maxL1)
 	if !ok {
@@ -283,10 +282,11 @@ func emitMask(mask []byte, out []int) []int {
 }
 
 // VisibleSetFast returns the indices of the points visible from pts[i] in
-// O(n log n): points are bucketed by their ray direction from pts[i];
-// within a bucket of collinear same-side points only the nearest is
-// visible, and points collinear through pts[i] on opposite sides do not
-// obstruct each other. The result matches VisibleFrom (the O(n²)
+// linear expected time (raySort; O(n log n) when the directions are too
+// clustered for its buckets): points are bucketed by their ray direction
+// from pts[i]; within a bucket of collinear same-side points only the
+// nearest is visible, and points collinear through pts[i] on opposite
+// sides do not obstruct each other. The result matches VisibleFrom (the O(n²)
 // reference) and the equivalence is property-tested and fuzzed.
 //
 // Buckets are chained circularly, so directions straddling the negative

@@ -21,7 +21,7 @@ const kernelMinParallel = 128
 
 // kernelArena is one worker's private scan scratch.
 type kernelArena struct {
-	dirs []dir
+	fold raySort
 
 	// cvEmit is the persistent collinearObserver callback for CV scans,
 	// built once per arena so the steady state allocates nothing; it
@@ -149,16 +149,16 @@ func (k *Kernel) cvScan(a *kernelArena, pts []Point, start, step int) {
 			}
 		}
 		a.cvObs = i
-		var stop bool
-		a.dirs, stop = collinearObserver(pts, i, 0, a.dirs, a.cvEmit)
-		if stop {
+		if collinearObserver(pts, i, 0, &a.fold, a.cvEmit) {
 			return
 		}
 	}
 }
 
 // CompleteVisibilityFast reports whether all points are distinct and
-// pairwise mutually visible, in O(n² log n): distinctness plus the
+// pairwise mutually visible, in O(n²) expected time (one linear
+// folded-direction scan per observer; O(n² log n) when the directions
+// are too clustered for its bucket sort): distinctness plus the
 // absence of any collinear triple confirmed by AreCollinear (any such
 // triple has a blocked pair, and CV requires none). It agrees with
 // CompleteVisibility up to float tolerance; the engine's terminal
@@ -198,8 +198,9 @@ func (k *Kernel) VisibleRow(dst []int, pts []Point, r int) []int {
 // of any of the three anchors (DESIGN.md, "Known complete
 // visibility"); when m's fold tolerance is undefined the scan emits
 // every pair, and every triple through m is confirmed directly. It runs
-// on the caller's goroutine in O(n log n), O(n²) for that degenerate
-// case, and allocates nothing once warm.
+// on the caller's goroutine in linear expected time (O(n log n) when the
+// directions from m are too clustered for the bucket sort, O(n²) for
+// that degenerate case), and allocates nothing once warm.
 func (k *Kernel) ClearAround(pts []Point, m int) bool {
 	for j, p := range pts {
 		if j != m && p.Eq(pts[m]) {
@@ -214,8 +215,7 @@ func (k *Kernel) ClearAround(pts []Point, m int) bool {
 		}
 	}
 	a.cvPts, a.cvObs = pts, m
-	var stop bool
-	a.dirs, stop = collinearObserver(pts, m, 0, a.dirs, a.clearEmit)
+	stop := collinearObserver(pts, m, 0, &a.fold, a.clearEmit)
 	a.cvPts = nil
 	return !stop
 }

@@ -25,9 +25,10 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(3))
-	// 4 workers below and above the parallel threshold, and the 1-worker
-	// kernel the concurrent runtime uses.
-	for _, c := range []struct{ workers, n int }{{4, 64}, {4, 256}, {1, 256}} {
+	// 4 workers below and above the parallel threshold, the 1-worker
+	// kernel the concurrent runtime uses, and a set small enough that
+	// every sort takes the comparison path instead of the bucket sort.
+	for _, c := range []struct{ workers, n int }{{4, 64}, {4, 256}, {1, 256}, {1, 32}} {
 		n := c.n
 		kern := geom.NewKernel(c.workers)
 		defer kern.Close()

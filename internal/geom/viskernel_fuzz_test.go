@@ -55,7 +55,12 @@ func FuzzSnapshotUpdate(f *testing.F) {
 // if ClearAround clears the moved point then CompleteVisibilityFast must
 // hold and every VisibleSetFast row must be full. Starts are int8 grids
 // (the FuzzVisibleAgainstNaive format, capped at 24 points) or uniform
-// sets of 3 to 64 points at scales 1e-3 to 1e6. The move lands near the
+// sets at scales 1e-3 to 1e6: sizes below 128 give 3 to 64 points,
+// larger ones 65 to 573, where every scan sorts its directions with the
+// bucket sort. A scale byte of 128 or more draws the uniform set in four
+// tight clusters instead (radius 1e-3 of the scale), so that from any
+// observer another cluster fills a bucket or two and the larger sets
+// take the sort's skew fallback. The move lands near the
 // line through two other points a and b, off it by a fuzzed power-of-two
 // fraction of the scale, so the target sweeps the predicates' tolerance
 // band. With a = b it lands that close to a instead, where m's fold
@@ -68,15 +73,26 @@ func FuzzClearAround(f *testing.F) {
 	f.Add([]byte(nil), true, uint8(3), int64(1), uint8(40), uint8(5), uint8(7), uint8(9), int8(-20), int8(45))
 	f.Add([]byte(nil), true, uint8(9), int64(2), uint8(61), uint8(0), uint8(1), uint8(2), int8(64), int8(-30))
 	f.Add([]byte(nil), true, uint8(0), int64(3), uint8(12), uint8(2), uint8(2), uint8(2), int8(5), int8(-5))
+	f.Add([]byte(nil), true, uint8(5), int64(4), uint8(200), uint8(7), uint8(8), uint8(9), int8(10), int8(30))
+	f.Add([]byte(nil), true, uint8(137), int64(5), uint8(212), uint8(7), uint8(8), uint8(9), int8(10), int8(30))
 	f.Fuzz(func(t *testing.T, grid []byte, uniform bool, scaleExp uint8, seed int64, size, mover, a, b uint8, along, off int8) {
 		var pts []geom.Point
 		scale := 16.0
 		if uniform {
 			scale = math.Pow(10, float64(int(scaleExp%10)-3))
 			rng := rand.New(rand.NewSource(seed))
-			pts = make([]geom.Point, 3+int(size)%62)
+			n := 3 + int(size)%62
+			if size >= 128 {
+				n = 65 + 4*int(size-128)
+			}
+			pts = make([]geom.Point, n)
 			for i := range pts {
-				pts[i] = geom.Pt(rng.Float64()*scale, rng.Float64()*scale)
+				if scaleExp >= 128 {
+					c := float64(i%4) * math.Pi / 2
+					pts[i] = geom.Pt(math.Cos(c)+1e-3*rng.Float64(), math.Sin(c)+1e-3*rng.Float64()).Mul(scale)
+				} else {
+					pts[i] = geom.Pt(rng.Float64()*scale, rng.Float64()*scale)
+				}
 			}
 		} else {
 			pts = decodePoints(grid)
