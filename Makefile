@@ -18,8 +18,9 @@ test:
 ## allocs: the zero-allocation guards, verbose, mirroring CI's step:
 ## the visibility kernel's steady state (ClearAround included), a warm
 ## convex hull (and a warm ConvexHullInto), and a warm LogVis Compute
-## on a full view whose shared hull is built, for a corner and an
-## interior robot.
+## on a full view whose shared hull and bounds are built, for a corner
+## robot and for interior robots whose beacon ring the scratch
+## remembers, misses, and builds from a collinear beacon set.
 allocs:
 	$(GO) test ./internal/geom ./internal/core -run '^(TestKernelZeroAllocSteadyState|TestConvexHullAllocs|TestLogVisComputeAllocs)$$' -count=1 -v
 

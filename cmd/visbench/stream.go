@@ -1,12 +1,14 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,13 +19,14 @@ import (
 	"luxvis/internal/stream"
 )
 
-// streamBenchSubs is the fan-out sweep: engine overhead with one hot
-// run broadcast to this many draining subscribers.
-var streamBenchSubs = []int{1, 64, 1024, 4096}
-
-// streamBenchIters: each cell runs the engine this many times and keeps
-// the fastest, damping scheduler noise without a long benchmark loop.
-const streamBenchIters = 3
+// streamFanoutSubs extends -bench-stream's fan-out sweep past the
+// gate's checkBaselineSubs: engine overhead with one hot run broadcast
+// to this many draining subscribers. These counts are measured in
+// rounds of their own, so the heap a 4096-subscriber run leaves behind
+// does not bias the ratios the gate compares (measured with them in
+// the same rounds, the recorded 64-subscriber ratio read about 2.5
+// where the gate measured 3.0-3.7).
+var streamFanoutSubs = []int{1024, 4096}
 
 // StreamBenchHost identifies the measuring machine.
 type StreamBenchHost struct {
@@ -38,7 +41,8 @@ type StreamBenchHost struct {
 type StreamBenchRow struct {
 	Subscribers int `json:"subscribers"`
 	// EngineNs is the engine run's wall time with the hub attached and
-	// all subscribers draining concurrently (fastest of the iterations).
+	// all subscribers draining concurrently (the median run of
+	// streamGateRounds rounds; the other fields are that run's).
 	EngineNs int64 `json:"engineNs"`
 	// OverheadPct = (engineNs - baselineNs) / baselineNs * 100: what
 	// attaching the hub and fan-out costs the hot run.
@@ -130,28 +134,36 @@ func streamHubRun(subs int) (hubRun, error) {
 	return r, nil
 }
 
-// streamBenchCell measures one subscriber count: the fastest of
-// streamBenchIters hub runs.
-func streamBenchCell(subs int) (StreamBenchRow, error) {
-	row := StreamBenchRow{Subscribers: subs}
-	var best hubRun
-	for iter := 0; iter < streamBenchIters; iter++ {
-		r, err := streamHubRun(subs)
+// measureStream runs streamGateRounds rounds, each running the bare
+// engine once and then the hub once per count in subs, so host drift
+// reaches every series alike. It returns the median bare run time and,
+// per count in subs, the hub run with the median engine time (the
+// upper middle for an even round count). -bench-stream and the
+// -check-baseline gate share it, so the baseline records the statistic
+// the gate compares.
+func measureStream(subs []int) (bare time.Duration, hub []hubRun, err error) {
+	bares := make([]time.Duration, 0, streamGateRounds)
+	runs := make([][]hubRun, len(subs))
+	for round := 0; round < streamGateRounds; round++ {
+		d, err := streamBenchRun(nil)
 		if err != nil {
-			return row, err
+			return 0, nil, err
 		}
-		if iter == 0 || r.engine < best.engine {
-			best = r
+		bares = append(bares, d)
+		for i, n := range subs {
+			r, err := streamHubRun(n)
+			if err != nil {
+				return 0, nil, err
+			}
+			runs[i] = append(runs[i], r)
 		}
 	}
-	row.EngineNs = best.engine.Nanoseconds()
-	row.DrainNs = best.drain.Nanoseconds()
-	row.Frames = best.frames
-	row.Dropped = best.dropped
-	if best.frames > 0 {
-		row.EncodeNsPerFrame = best.encodeNanos / best.frames
+	slices.Sort(bares)
+	for _, rs := range runs {
+		slices.SortFunc(rs, func(a, b hubRun) int { return cmp.Compare(a.engine, b.engine) })
+		hub = append(hub, rs[len(rs)/2])
 	}
-	return row, nil
+	return bares[len(bares)/2], hub, nil
 }
 
 // runStreamBench measures streaming fan-out overhead on the hot engine
@@ -170,7 +182,8 @@ func runStreamBench(w io.Writer) error {
 		Seed:      streamBenchSeed,
 		Notes: []string{
 			"baselineNs: the same run with no observer attached — the engine's raw wall time.",
-			"engineNs: the run's wall time with a stream hub observing and all subscribers draining concurrently; fastest of " + fmt.Sprint(streamBenchIters) + " iterations.",
+			"baselineNs and engineNs are medians of " + fmt.Sprint(streamGateRounds) + " rounds, each running the bare engine once and then the hub once per subscriber count; the 1 and 64 subscriber rows come from rounds of their own, exactly as -check-baseline measures and compares them, and the larger counts from a second set of rounds.",
+			"engineNs: the run's wall time with a stream hub observing and all subscribers draining concurrently; drainNs, frames, encodeNsPerFrame and dropped are that median run's.",
 			"overheadPct = (engineNs - baselineNs) / baselineNs * 100: publish is one encode plus per-subscriber ring writes, never a block.",
 			"dropped: frames lost across all subscribers — a frame counts only once it leaves both the subscriber's ring (default 256 frames) and the hub history (default 16384 frames, the refill window); nonzero means consumers trailed the publisher by more than the history window, not that the engine slowed down.",
 			"encodeNsPerFrame: the encode-once cost shared by every subscriber.",
@@ -178,23 +191,27 @@ func runStreamBench(w io.Writer) error {
 		},
 	}
 
-	// Baseline: fastest no-observer run.
-	var baseline time.Duration
-	for iter := 0; iter < streamBenchIters; iter++ {
-		d, err := streamBenchRun(nil)
-		if err != nil {
-			return err
-		}
-		if iter == 0 || d < baseline {
-			baseline = d
-		}
+	bare, hub, err := measureStream(checkBaselineSubs)
+	if err != nil {
+		return err
 	}
-	rep.BaselineNs = baseline.Nanoseconds()
-
-	for _, subs := range streamBenchSubs {
-		row, err := streamBenchCell(subs)
-		if err != nil {
-			return err
+	_, fanout, err := measureStream(streamFanoutSubs)
+	if err != nil {
+		return err
+	}
+	rep.BaselineNs = bare.Nanoseconds()
+	allSubs := append(slices.Clone(checkBaselineSubs), streamFanoutSubs...)
+	for i, r := range append(hub, fanout...) {
+		subs := allSubs[i]
+		row := StreamBenchRow{
+			Subscribers: subs,
+			EngineNs:    r.engine.Nanoseconds(),
+			DrainNs:     r.drain.Nanoseconds(),
+			Frames:      r.frames,
+			Dropped:     r.dropped,
+		}
+		if r.frames > 0 {
+			row.EncodeNsPerFrame = r.encodeNanos / r.frames
 		}
 		if rep.BaselineNs > 0 {
 			row.OverheadPct = float64(row.EngineNs-rep.BaselineNs) / float64(rep.BaselineNs) * 100

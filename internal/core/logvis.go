@@ -95,6 +95,13 @@ func (a *LogVis) corridorFrac() float64 {
 
 // Compute implements model.Algorithm.
 func (a *LogVis) Compute(s model.Snapshot) model.Action {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return a.compute(s, sc)
+}
+
+// compute is Compute on the working memory sc.
+func (a *LogVis) compute(s model.Snapshot, sc *scratch) model.Action {
 	self := s.Self.Pos
 	switch len(s.Others) {
 	case 0:
@@ -106,8 +113,6 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 		return model.Stay(self, model.Corner)
 	}
 
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
 	pts := append(sc.pts[:0], self)
 	for _, o := range s.Others {
 		pts = append(pts, o.Pos)
@@ -129,8 +134,9 @@ func (a *LogVis) Compute(s model.Snapshot) model.Action {
 }
 
 // scratch is one Compute's reusable working memory. The engine runs
-// Computes concurrently, so each call borrows its own from scratchPool
-// and nothing in it outlives the call.
+// Computes concurrently, so each call borrows its own from scratchPool.
+// Only the remembered beacon rings outlive the call, and a later call
+// reads one only if its beacon list is bit for bit the entry's key.
 type scratch struct {
 	// pts is self followed by every visible robot, the order of
 	// Snapshot.Points; pts[1:] are the visible robots' positions.
@@ -139,11 +145,34 @@ type scratch struct {
 	// beaconHull holds the corners of the visible beacons' hull.
 	beaconHull []geom.Point
 	slots      []slot
-	// boundaryRing's buffers.
+	// boundaryRing's buffers; collinearRing sorts in byAngle too.
 	byAngle     []beaconAngle
 	cornerAngle []float64
 	cornerOrder []int
-	ring        []geom.Point
+	// rings remembers the beacon rings this scratch built last (see
+	// beaconRing); ringNext is the entry the next miss replaces.
+	rings    [ringMemoSize]ringEntry
+	ringNext int
+}
+
+// ringMemoSize is how many beacon rings a scratch remembers. Every
+// interior robot of one light state builds the same ring: on
+// logvis-async-n192 (seeds 1 and 3) 78% and 85% of candidateSlots calls
+// find their list among the last 8 when Computes run inline, at their
+// Compute events and so out of Look order (24% and 32% with one entry),
+// and pipelined calls 85% and 88% (83% and 87% with one entry), near
+// the floor the distinct lists set. An entry holds B + R points for B
+// beacons and R ring points, so a scratch keeps at most 8·(B+R) ≤ 16·N
+// points.
+const ringMemoSize = 8
+
+// ringEntry is one remembered beacon ring: the beacon list it was built
+// from, which is its key, the number of corners of the beacons' hull,
+// and the ring boundaryRing or collinearRing built from them.
+type ringEntry struct {
+	beacons []geom.Point
+	corners int
+	ring    []geom.Point
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -286,11 +315,11 @@ func (a *LogVis) computeInterior(s model.Snapshot, sc *scratch) model.Action {
 	others := sc.pts[1:]
 	nearest := s.NearestDist()
 	baseMargin := nearest * a.corridorFrac()
-	// The bounding box of self ∪ snapshot gives slotUsable's band and
-	// the visible diameter the landing sagitta scales against (0 under
-	// AblateConstantSagitta, which disables the quadratic law, so the
-	// cap fraction applies).
-	lo, hi := geom.BoundingBox(sc.pts)
+	// The bounding box of self ∪ snapshot, shared by a full view's
+	// World, gives slotUsable's band and the visible diameter the
+	// landing sagitta scales against (0 under AblateConstantSagitta,
+	// which disables the quadratic law, so the cap fraction applies).
+	lo, hi := s.World.Bounds(sc.pts)
 	band := orientBand((hi.X - lo.X) + (hi.Y - lo.Y))
 	diam := 0.0
 	if !a.AblateConstantSagitta {
@@ -493,37 +522,23 @@ func (a *LogVis) slotContested(s model.Snapshot, sl slot) bool {
 // yields the boundary ring; consecutive ring members are exactly the
 // landing intervals. Stale-colored beacons that are not on the boundary
 // anymore are filtered by a single OnSegment check against the edge
-// their angle brackets. For B beacons and C beacon-hull corners that is
-// one O(V) scan for the beacons, the hull (bucket-ordered, so O(B) on
-// spread-out input), the angle sorts of the beacons and of the corners,
-// O(B log B) together, and O(B log C) edge lookups; see boundaryRing. The structural validity of
-// each interval (emptiness, one-sidedness) is checked later, per tried
-// interval.
+// their angle brackets. For V visible robots, B beacons and R ring
+// points that is one O(V) scan for the beacons, the ring, and O(R) to
+// measure each slot against the robot. The ring is a function of the
+// beacon list alone, so beaconRing looks it up by that list in O(B) per
+// remembered entry and builds it only on a miss: the beacon hull
+// (bucket-ordered, so O(B) on spread-out input) and boundaryRing's
+// O(B log B). The structural validity of each interval (emptiness,
+// one-sidedness) is checked later, per tried interval.
 func (a *LogVis) candidateSlots(s model.Snapshot, sc *scratch) []slot {
 	self := s.Self.Pos
-	beacons := sc.beacons[:0]
-	for _, o := range s.Others {
-		// Done robots are settled corners and anchor slots just as
-		// Corner robots do.
-		if o.Color == model.Corner || o.Color == model.Side || o.Color == model.Done {
-			beacons = append(beacons, o.Pos)
-		}
-	}
+	beacons := appendBeacons(sc.beacons[:0], s.Others)
 	sc.beacons = beacons
 	if len(beacons) < 2 {
 		return nil
 	}
-	cs := geom.ConvexHullInto(sc.beaconHull, beacons).Corners
-	sc.beaconHull = cs
-	var ring []geom.Point
-	switch len(cs) {
-	case 0, 1:
-		return nil
-	case 2:
-		ring = collinearRing(beacons, cs[0], cs[1])
-	default:
-		ring = boundaryRing(beacons, cs, sc)
-	}
+	e := sc.beaconRing(beacons)
+	ring := e.ring
 	if len(ring) < 2 {
 		return nil
 	}
@@ -537,38 +552,87 @@ func (a *LogVis) candidateSlots(s model.Snapshot, sc *scratch) []slot {
 	for k := 0; k+1 < len(ring); k++ {
 		add(ring[k], ring[k+1])
 	}
-	if len(cs) > 2 {
+	if e.corners > 2 {
 		add(ring[len(ring)-1], ring[0]) // close the ring
 	}
 	sc.slots = out
 	return out
 }
 
-// collinearRing orders the beacons of a degenerate (collinear) beacon
-// set along the segment AB.
-func collinearRing(beacons []geom.Point, A, B geom.Point) []geom.Point {
-	type bp struct {
-		p geom.Point
-		t float64
+// appendBeacons appends to dst the positions of the beacons among
+// others, in their snapshot order: the Corner and Side robots, and the
+// Done robots, which are settled corners and anchor slots just as
+// Corner robots do.
+func appendBeacons(dst []geom.Point, others []model.RobotView) []geom.Point {
+	for _, o := range others {
+		if o.Color == model.Corner || o.Color == model.Side || o.Color == model.Done {
+			dst = append(dst, o.Pos)
+		}
 	}
-	run := make([]bp, 0, len(beacons))
+	return dst
+}
+
+// beaconRing returns the remembered entry for the beacon list beacons,
+// at least two points, building it in place of the oldest entry on a
+// miss. The key is the list's exact content: a hit needs the same
+// length and bitwise-equal coordinates, position by position, so -0 and
+// +0 differ. The beacon hull and the ring are deterministic functions of
+// that list, so a hit returns exactly what a rebuild would, whichever
+// snapshot, World or run built the entry. The returned entry is valid
+// until the next beaconRing call on sc.
+func (sc *scratch) beaconRing(beacons []geom.Point) *ringEntry {
+	n := len(sc.rings)
+	for k := 1; k <= n; k++ { // newest first
+		if e := &sc.rings[(sc.ringNext-k+n)%n]; sameBits(e.beacons, beacons) {
+			return e
+		}
+	}
+	e := &sc.rings[sc.ringNext]
+	sc.ringNext = (sc.ringNext + 1) % n
+	e.beacons = append(e.beacons[:0], beacons...)
+	cs := geom.ConvexHullInto(sc.beaconHull, beacons).Corners
+	sc.beaconHull = cs
+	e.corners = len(cs)
+	switch len(cs) {
+	case 0, 1:
+		e.ring = e.ring[:0]
+	case 2:
+		e.ring = collinearRing(e.ring, beacons, cs[0], cs[1], sc)
+	default:
+		e.ring = boundaryRing(e.ring, beacons, cs, sc)
+	}
+	return e
+}
+
+// sameBits reports whether a and b hold the same points in the same
+// order, comparing coordinates by their bits.
+func sameBits(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
+			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// collinearRing orders the beacons of a degenerate (collinear) beacon
+// set along the segment AB, appending them to dst[:0]. It sorts in
+// sc.byAngle, with each beacon's parameter along AB as its key.
+func collinearRing(dst, beacons []geom.Point, A, B geom.Point, sc *scratch) []geom.Point {
+	run := sc.byAngle[:0]
 	for _, w := range beacons {
 		if geom.OnSegment(A, B, w) {
 			_, t := geom.ProjectOntoLine(A, B, w)
-			run = append(run, bp{p: w, t: t})
+			run = append(run, beaconAngle{p: w, ang: t})
 		}
 	}
-	slices.SortFunc(run, func(a, b bp) int {
-		switch {
-		case a.t < b.t:
-			return -1
-		case a.t > b.t:
-			return 1
-		default:
-			return 0
-		}
-	})
-	out := make([]geom.Point, 0, len(run))
+	sc.byAngle = run
+	slices.SortFunc(run, compareAngles)
+	out := dst[:0]
 	for _, r := range run {
 		if len(out) > 0 && out[len(out)-1].Eq(r.p) {
 			continue
@@ -578,28 +642,21 @@ func collinearRing(beacons []geom.Point, A, B geom.Point) []geom.Point {
 	return out
 }
 
-// boundaryRing returns the beacons that lie on the beacon hull's
-// boundary, in CCW order, in O(B log B): sort everything by angle around
-// the hull centroid, then find each beacon's edge by a binary search over
+// boundaryRing appends to dst[:0] the beacons that lie on the beacon
+// hull's boundary, in CCW order: sort everything by angle around the
+// hull centroid, then find each beacon's edge by a binary search over
 // the corner angles and keep the beacon only if it sits on the edge its
-// angle brackets. Its buffers, and the returned ring, live in sc.
-func boundaryRing(beacons []geom.Point, corners []geom.Point, sc *scratch) []geom.Point {
+// angle brackets. For B beacons and C corners that is O(B log B) for the
+// two angle sorts and O(B log C) for the edge lookups. Its buffers live
+// in sc. candidateSlots calls it only when beaconRing misses.
+func boundaryRing(dst, beacons, corners []geom.Point, sc *scratch) []geom.Point {
 	c := geom.Centroid(corners)
 	all := sc.byAngle[:0]
 	for _, w := range beacons {
 		all = append(all, beaconAngle{p: w, ang: w.Sub(c).Angle()})
 	}
 	sc.byAngle = all
-	slices.SortFunc(all, func(a, b beaconAngle) int {
-		switch {
-		case a.ang < b.ang:
-			return -1
-		case a.ang > b.ang:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(all, compareAngles)
 
 	// Corner angles in the same sorted order; corners are a subset of
 	// the beacons, so their angles appear in `all` too.
@@ -643,7 +700,7 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point, sc *scratch) []geo
 		return a, b
 	}
 
-	out := sc.ring[:0]
+	out := dst[:0]
 	for _, w := range all {
 		ea, eb := edgeFor(w.ang)
 		if w.p.Eq(ea) || w.p.Eq(eb) || geom.OnSegment(ea, eb, w.p) {
@@ -653,15 +710,26 @@ func boundaryRing(beacons []geom.Point, corners []geom.Point, sc *scratch) []geo
 			out = append(out, w.p)
 		}
 	}
-	sc.ring = out
 	return out
 }
 
-// beaconAngle is a beacon and its angle around the beacon hull's
-// centroid.
+// beaconAngle is a beacon and its sort key: its angle around the beacon
+// hull's centroid, or its parameter along a collinear beacon set.
 type beaconAngle struct {
 	p   geom.Point
 	ang float64
+}
+
+// compareAngles orders beaconAngles by key.
+func compareAngles(a, b beaconAngle) int {
+	switch {
+	case a.ang < b.ang:
+		return -1
+	case a.ang > b.ang:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // slotUsable checks the two structural conditions on an interval (u, v):

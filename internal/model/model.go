@@ -114,6 +114,10 @@ type World struct {
 	// the padding after hullOnce, keeping a World in its size class).
 	collinear atomic.Int32
 	hull      geom.Hull
+	// bounds is the Bounds answer, {min, max}: nil until decided.
+	// Racing first callers store equal boxes, as for collinear; a
+	// pointer rather than a second Once keeps a World at 48 bytes.
+	bounds atomic.Pointer[[2]geom.Point]
 }
 
 const (
@@ -155,6 +159,25 @@ func (w *World) AllCollinear(pts []geom.Point) bool {
 	}
 	w.collinear.Store(v)
 	return c
+}
+
+// Bounds returns the bounding box of pts, the points of a snapshot that
+// holds w. A nil World returns geom.BoundingBox(pts). A non-nil World
+// computes the box from its first callers' pts and returns it to every
+// later caller: BoundingBox folds with math.Min and math.Max, whose
+// results do not depend on the order of their operands (signed zeros
+// and NaN included), so the box depends only on the point multiset and
+// every sharer reads the box it would have computed.
+func (w *World) Bounds(pts []geom.Point) (min, max geom.Point) {
+	if w == nil {
+		return geom.BoundingBox(pts)
+	}
+	if b := w.bounds.Load(); b != nil {
+		return b[0], b[1]
+	}
+	min, max = geom.BoundingBox(pts)
+	w.bounds.Store(&[2]geom.Point{min, max})
+	return min, max
 }
 
 // Points returns the positions of all robots in the snapshot, self first.

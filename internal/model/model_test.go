@@ -3,7 +3,9 @@ package model
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"luxvis/internal/geom"
 )
@@ -139,5 +141,94 @@ func TestWorldHull(t *testing.T) {
 	wl := new(World)
 	if !wl.AllCollinear(line) || !wl.AllCollinear(pts) {
 		t.Fatal("World AllCollinear of a line, want true for every later caller")
+	}
+}
+
+// TestWorldBounds: a nil World computes BoundingBox; a shared World
+// computes the box once and hands it to every later caller, which is
+// sound because BoundingBox answers bit for bit the same for every
+// order of one multiset, signed zeros and NaN included. Concurrent
+// first callers (run under -race) all read that box too.
+func TestWorldBounds(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sets := map[string][]geom.Point{
+		"square": {geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4), geom.Pt(2, 2)},
+		"signed zeros": {
+			geom.Pt(0, negZero), geom.Pt(negZero, 0), geom.Pt(0, 0),
+			geom.Pt(negZero, negZero), geom.Pt(-1e-300, 1e-300),
+		},
+		"NaN":        {geom.Pt(1, 2), geom.Pt(math.NaN(), 0), geom.Pt(-3, math.NaN()), geom.Pt(0, negZero)},
+		"infinities": {geom.Pt(math.Inf(-1), math.NaN()), geom.Pt(math.NaN(), math.Inf(1)), geom.Pt(0, 0)},
+	}
+	bits := func(lo, hi geom.Point) [4]uint64 {
+		return [4]uint64{
+			math.Float64bits(lo.X), math.Float64bits(lo.Y),
+			math.Float64bits(hi.X), math.Float64bits(hi.Y),
+		}
+	}
+	for name, pts := range sets {
+		want := bits(geom.BoundingBox(pts))
+		w := new(World)
+		var none *World
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		forEachPermutation(slices.Clone(pts), func(perm []geom.Point) {
+			if got := bits(geom.BoundingBox(perm)); got != want {
+				t.Fatalf("%s: BoundingBox of %v = %x, want %x", name, perm, got, want)
+			}
+			if got := bits(none.Bounds(perm)); got != want {
+				t.Fatalf("%s: nil World Bounds of %v = %x, want %x", name, perm, got, want)
+			}
+			p := slices.Clone(perm)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := bits(w.Bounds(p))
+				mu.Lock()
+				defer mu.Unlock()
+				if got != want {
+					t.Errorf("%s: shared World Bounds of %v = %x, want %x", name, p, got, want)
+				}
+			}()
+		})
+		wg.Wait()
+	}
+	// The box is memoized: a later caller reads it even for points
+	// that would answer differently, which a sharer never passes.
+	w := new(World)
+	w.Bounds([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)})
+	if lo, hi := w.Bounds([]geom.Point{geom.Pt(5, 5)}); lo != geom.Pt(0, 0) || hi != geom.Pt(1, 1) {
+		t.Fatalf("a second caller of one World got a recomputed box [%v, %v]", lo, hi)
+	}
+}
+
+// forEachPermutation calls f with every ordering of pts (Heap's
+// algorithm), reusing one slice.
+func forEachPermutation(pts []geom.Point, f func([]geom.Point)) {
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			f(pts)
+			return
+		}
+		for i := 0; i < k-1; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				pts[i], pts[k-1] = pts[k-1], pts[i]
+			} else {
+				pts[0], pts[k-1] = pts[k-1], pts[0]
+			}
+		}
+		gen(k - 1)
+	}
+	gen(len(pts))
+}
+
+// TestWorldSize pins a World to 48 bytes, one allocation size class:
+// the engine allocates one per position state, and a second Once for
+// the bounds would double it.
+func TestWorldSize(t *testing.T) {
+	if got := unsafe.Sizeof(World{}); got != 48 {
+		t.Fatalf("model.World is %d bytes, want 48", got)
 	}
 }
